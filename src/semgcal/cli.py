@@ -10,40 +10,27 @@ error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .adapt import (
-    AdaptConfig,
-    adabn_adapt,
-    dann_train,
-    dirt_t_refine,
-    mv_calibrate,
-    scadann_calibrate,
-    vada_train,
-)
-from .dataio import (
-    load_model,
-    load_report,
-    load_session,
-    save_dataset,
-    save_manifest,
-    save_model,
-)
+from .dataio import load_report, load_session, save_dataset, save_manifest
 from .errors import DataError, SemgCalError
 from .experiment import (
     BenchmarkConfig,
     HarnessConfig,
+    adapt_model,
     benchmark_report,
+    fit_new,
+    from_overrides,
     prepare_session,
 )
-from .relabel import HeuristicConfig
+from .nn import load_network, save_network
+from .stats import accuracy
 from .synth import SynthConfig, synth_generate
-from .train import default_train_config, fit
+from .train import default_train_config
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -63,8 +50,14 @@ def _harness_from_args(args) -> HarnessConfig:
 def _load_config_overrides(path: Path | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read config overrides {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise DataError(f"{path}: config overrides must be a JSON object")
+    return overrides
 
 
 def _write_run_manifest(args) -> None:
@@ -109,15 +102,10 @@ def cmd_train(args) -> int:
     cfg = _harness_from_args(args)
     session = load_session(args.data, args.subject, args.session)
     prep = prepare_session(session, cfg)
-    from .experiment import _build_model  # shared builder
-
-    model = _build_model(cfg, args.seed)
-    fit(model, prep.train_x, prep.train_y, cfg.train)
+    model = fit_new(cfg, prep.train_x, prep.train_y, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"model_subject{args.subject}_session{args.session}.bin"
-    save_model(model, path)
-    from .stats import accuracy
-
+    save_network(model, path)
     acc = accuracy(model.predict(prep.test_x), prep.test_y)
     _write_run_manifest(args)
     print(f"wrote {path} (held-out cycle accuracy {acc:.4f})")
@@ -126,37 +114,17 @@ def cmd_train(args) -> int:
 
 def cmd_adapt(args) -> int:
     cfg = _harness_from_args(args)
-    model = load_model(args.model)
+    model = load_network(args.model)
+    if model.num_gestures != cfg.gestures:
+        raise DataError(f"{args.model} has {model.num_gestures} gesture outputs, "
+                        f"but --gestures is {cfg.gestures}")
     source = prepare_session(load_session(args.data, args.subject, args.source_session), cfg)
     target = prepare_session(load_session(args.data, args.subject, args.session), cfg)
-    tcfg = dataclasses.replace(cfg.train, seed=args.seed)
-    acfg = AdaptConfig()
     algo = args.algorithm
-    if algo in ("dann", "vada", "dirtt", "adabn", "scadann", "mv"):
-        if target.stream_x is None or len(target.stream_x) == 0:
-            raise DataError(f"session {args.session} has no unlabeled evaluation data to adapt with")
-    if algo == "dann":
-        dann_train(model, source.train_x, source.train_y, target.stream_x,
-                   lambda_d=acfg.dann_lambda_d, cfg=tcfg)
-    elif algo == "vada":
-        vada_train(model, source.train_x, source.train_y, target.stream_x, acfg, tcfg)
-    elif algo == "dirtt":
-        vada_train(model, source.train_x, source.train_y, target.stream_x, acfg, tcfg)
-        dirt_t_refine(model, target.stream_x, acfg, tcfg)
-    elif algo == "adabn":
-        model = adabn_adapt(model, target.stream_x)
-    elif algo == "mv":
-        model, _ = mv_calibrate(model, source.train_x, source.train_y, [target.stream_x], cfg=tcfg)
-    elif algo == "scadann":
-        threshold = 0.85 if args.gestures == 7 else 0.65
-        res = scadann_calibrate(model, source.train_x, source.train_y, [], target.stream_x,
-                                acfg=acfg, hcfg=HeuristicConfig(threshold_stable=threshold), cfg=tcfg)
-        model = res.model
+    model, _ = adapt_model(algo, model, source.train_x, source.train_y, [target.stream_x], cfg, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"model_{algo}_subject{args.subject}_session{args.session}.bin"
-    save_model(model, path)
-    from .stats import accuracy
-
+    save_network(model, path)
     acc = accuracy(model.predict(target.test_x), target.test_y)
     _write_run_manifest(args)
     print(f"wrote {path} (held-out cycle accuracy {acc:.4f})")
@@ -164,35 +132,17 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = BenchmarkConfig(seed=args.seed)
-    overrides = _load_config_overrides(args.config)
-    if "synth" in overrides:
-        cfg.synth = dataclasses.replace(cfg.synth, **overrides["synth"])
-    if "harness" in overrides:
-        h = overrides["harness"]
-        for key in ("train", "adapt_train"):
-            if key in h:
-                setattr(cfg.harness, key, dataclasses.replace(getattr(cfg.harness, key), **h.pop(key)))
-        if "adapt" in h:
-            cfg.harness.adapt = dataclasses.replace(cfg.harness.adapt, **h.pop("adapt"))
-        if "heuristic" in h:
-            cfg.harness.heuristic = dataclasses.replace(cfg.harness.heuristic, **h.pop("heuristic"))
-        if "algorithms" in h:
-            cfg.harness.algorithms = tuple(h.pop("algorithms"))
-        for key, value in h.items():
-            if not hasattr(cfg.harness, key):
-                raise DataError(f"unknown harness config key {key!r}")
-            setattr(cfg.harness, key, value)
+    cfg = from_overrides(BenchmarkConfig(seed=args.seed), _load_config_overrides(args.config))
+    # The flags win over the file: they are applied second.
+    flags = {"synth": {}, "harness": {}}
     if args.gestures is not None:
-        cfg.synth = dataclasses.replace(cfg.synth, gestures=args.gestures)
-        cfg.harness.gestures = args.gestures
-        cfg.harness.heuristic = None
-        cfg.harness.__post_init__()
+        flags["synth"]["gestures"] = args.gestures
+        flags["harness"].update(gestures=args.gestures, heuristic=None)
     if args.input_kind is not None:
-        cfg.harness.input_kind = args.input_kind
         kind = "tsd_dnn" if args.input_kind == "tsd" else "spectrogram_convnet"
-        cfg.harness.train = dataclasses.replace(
-            cfg.harness.train, learning_rate=default_train_config(kind).learning_rate)
+        flags["harness"].update(input_kind=args.input_kind,
+                                train={"learning_rate": default_train_config(kind).learning_rate})
+    cfg = from_overrides(cfg, flags)
     report = benchmark_report(cfg, args.out)
     best = {}
     for s, table in report["accuracy"].items():

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError, ShapeError
-from .nn import Network, load_network, save_network
 from .signal import NUM_CHANNELS, SAMPLE_RATE_HZ, RawRecording
 from .synth import SessionData, SubjectData
 
@@ -156,14 +155,6 @@ def config_digest(cfg) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
-def save_model(model: Network, path) -> None:
-    save_network(model, path)
-
-
-def load_model(path) -> Network:
-    return load_network(path)
-
-
 def save_report(report_dict: dict, out_dir, accuracy_tables: dict | None = None) -> Path:
     """Write report.json (schema-versioned, deterministic byte layout) plus one
     CSV accuracy table per session; returns the report path."""
@@ -185,8 +176,13 @@ def save_report(report_dict: dict, out_dir, accuracy_tables: dict | None = None)
 
 
 def load_report(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read report {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a report must be a JSON object")
     if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise DataError(f"unsupported report schema {payload.get('schema_version')}")
     return payload

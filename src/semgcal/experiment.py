@@ -20,6 +20,7 @@ from scipy import signal as sps
 
 from .adapt import (
     AdaptConfig,
+    ScadannResult,
     adabn_adapt,
     dann_train,
     dirt_t_refine,
@@ -70,6 +71,33 @@ class HarnessConfig:
             self.heuristic = HeuristicConfig(threshold_stable=threshold)
         if self.adapt_train is None:
             self.adapt_train = self.train
+
+
+def from_overrides(obj, overrides: dict):
+    """Copy of the dataclass `obj` with a nested dict of `overrides` applied.
+
+    Every level goes through `dataclasses.replace`, so each `__post_init__`
+    validates its values again. A dict value updates a nested config field by
+    field; None resets a field whose default is None (such as the
+    gesture-dependent `heuristic`) so it is derived again; a JSON list
+    becomes a tuple where the field holds one. Unknown keys raise
+    ParameterError.
+    """
+    if not isinstance(overrides, dict):
+        raise ParameterError(f"{type(obj).__name__} overrides must be an object, got {overrides!r}")
+    fields = {f.name: f for f in dataclasses.fields(obj)}
+    unknown = sorted(set(overrides) - set(fields))
+    if unknown:
+        raise ParameterError(f"unknown {type(obj).__name__} keys: {unknown}")
+    changes = {}
+    for key, value in overrides.items():
+        current = getattr(obj, key)
+        if dataclasses.is_dataclass(current) and not (value is None and fields[key].default is None):
+            value = from_overrides(current, value)
+        elif isinstance(current, tuple) and isinstance(value, list):
+            value = tuple(value)
+        changes[key] = value
+    return dataclasses.replace(obj, **changes)
 
 
 def cell_seed(master_seed: int, *parts) -> int:
@@ -129,20 +157,48 @@ def prepare_session(session, cfg: HarnessConfig) -> PreparedSession:
     return PreparedSession(train_x, train_y, test_x, test_y, stream_x, stream_y)
 
 
-def _build_model(cfg: HarnessConfig, seed: int) -> Network:
+def fit_new(cfg: HarnessConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Network:
+    """A fresh network of the configured kind, trained on (x, y) under `cfg.train`."""
     if cfg.input_kind == "tsd":
-        return build_tsd_dnn(cfg.gestures, seed=seed)
-    return build_spectrogram_convnet(cfg.gestures, seed=seed)
+        model = build_tsd_dnn(cfg.gestures, seed=seed)
+    else:
+        model = build_spectrogram_convnet(cfg.gestures, seed=seed)
+    fit(model, x, y, dataclasses.replace(cfg.train, seed=seed))
+    return model
 
 
-def _train_cfg(base: TrainConfig, seed: int) -> TrainConfig:
-    return dataclasses.replace(base, seed=seed)
+def adapt_model(algo: str, model: Network, x_src: np.ndarray, y_src: np.ndarray,
+                streams: list[np.ndarray], cfg: HarnessConfig, seed: int,
+                priors=()) -> tuple[Network, ScadannResult | None]:
+    """Run one unsupervised algorithm on a copy of `model`.
 
-
-def _stream_or_fail(prep: PreparedSession, algo: str) -> np.ndarray:
-    if prep.stream_x is None or len(prep.stream_x) == 0:
+    `streams` holds the unlabeled sessions seen so far, oldest first: MV pools
+    all of them, every other algorithm adapts to the last. `priors` are the
+    earlier sessions' pseudo-labeled (x, y) pairs SCADANN adds to its source.
+    The input model is never modified.
+    """
+    if algo not in UNSUPERVISED:
+        raise ParameterError(f"{algo!r} is not an unsupervised algorithm")
+    if not streams or any(x is None or len(x) == 0 for x in streams):
         raise DataError(f"{algo} needs a session with unlabeled evaluation data")
-    return prep.stream_x
+    tcfg = dataclasses.replace(cfg.adapt_train, seed=seed)
+    stream = streams[-1]
+    if algo == "adabn":
+        return adabn_adapt(model, stream), None
+    if algo == "scadann":
+        res = scadann_calibrate(model, x_src, y_src, list(priors), stream,
+                                acfg=cfg.adapt, hcfg=cfg.heuristic, cfg=tcfg)
+        return res.model, res
+    model = model.clone()
+    if algo == "dann":
+        dann_train(model, x_src, y_src, stream, lambda_d=cfg.adapt.dann_lambda_d, cfg=tcfg)
+    elif algo == "mv":
+        mv_calibrate(model, x_src, y_src, streams, cfg=tcfg)
+    else:
+        vada_train(model, x_src, y_src, stream, acfg=cfg.adapt, cfg=tcfg)
+        if algo == "dirtt":
+            dirt_t_refine(model, stream, acfg=cfg.adapt, cfg=tcfg)
+    return model, None
 
 
 @dataclass
@@ -153,94 +209,47 @@ class SubjectResult:
 
 
 def run_subject(subject_data: SubjectData, cfg: HarnessConfig, master_seed: int) -> SubjectResult:
+    """Score every configured algorithm on every session of one subject.
+
+    Session 0 is the labeled source for the unsupervised algorithms; SCADANN
+    chains its models and pseudo-labels across sessions, while Recal and
+    RecalSCADANN start each session from a network fit on its own labels.
+    """
     preps = [prepare_session(s, cfg) for s in subject_data.sessions]
     sid = subject_data.subject
-    n_sessions = len(preps)
-    base_seed = cell_seed(master_seed, sid, "base")
-    model0 = _build_model(cfg, base_seed)
-    fit(model0, preps[0].train_x, preps[0].train_y, _train_cfg(cfg.train, base_seed))
+    src = preps[0]
+    model0 = fit_new(cfg, src.train_x, src.train_y, cell_seed(master_seed, sid, "base"))
     nocal = [accuracy(model0.predict(p.test_x), p.test_y) for p in preps]
 
     result = SubjectResult(subject=sid, accuracies={})
     for algo in cfg.algorithms:
         if algo == "nocal":
             result.accuracies[algo] = list(nocal)
-        elif algo == "recal":
-            accs = [nocal[0]]
-            for s in range(1, n_sessions):
-                seed = cell_seed(master_seed, sid, "recal", s)
-                model = _build_model(cfg, seed)
-                fit(model, preps[s].train_x, preps[s].train_y, _train_cfg(cfg.train, seed))
-                accs.append(accuracy(model.predict(preps[s].test_x), preps[s].test_y))
-            result.accuracies[algo] = accs
-        elif algo in ("dann", "vada", "dirtt", "adabn"):
-            accs = [nocal[0]]
-            for s in range(1, n_sessions):
-                seed = cell_seed(master_seed, sid, algo, s)
-                tcfg = _train_cfg(cfg.adapt_train, seed)
-                model = model0.clone()
-                stream = _stream_or_fail(preps[s], algo)
-                if algo == "dann":
-                    dann_train(model, preps[0].train_x, preps[0].train_y, stream,
-                               lambda_d=cfg.adapt.dann_lambda_d, cfg=tcfg)
-                elif algo == "vada":
-                    vada_train(model, preps[0].train_x, preps[0].train_y, stream,
-                               acfg=cfg.adapt, cfg=tcfg)
-                elif algo == "dirtt":
-                    vada_train(model, preps[0].train_x, preps[0].train_y, stream,
-                               acfg=cfg.adapt, cfg=tcfg)
-                    dirt_t_refine(model, stream, acfg=cfg.adapt, cfg=tcfg)
-                else:
-                    model = adabn_adapt(model, stream)
-                accs.append(accuracy(model.predict(preps[s].test_x), preps[s].test_y))
-            result.accuracies[algo] = accs
-        elif algo == "mv":
-            accs = [nocal[0]]
-            for s in range(1, n_sessions):
-                seed = cell_seed(master_seed, sid, "mv", s)
-                streams = [_stream_or_fail(preps[j], "mv") for j in range(1, s + 1)]
-                model = model0.clone()
-                mv_calibrate(model, preps[0].train_x, preps[0].train_y, streams,
-                             cfg=_train_cfg(cfg.adapt_train, seed))
-                accs.append(accuracy(model.predict(preps[s].test_x), preps[s].test_y))
-            result.accuracies[algo] = accs
-        elif algo == "scadann":
-            accs = [nocal[0]]
-            audit: dict[int, dict] = {}
-            model = model0
-            priors: list[tuple[np.ndarray, np.ndarray]] = []
-            for s in range(1, n_sessions):
-                seed = cell_seed(master_seed, sid, "scadann", s)
-                stream = _stream_or_fail(preps[s], "scadann")
-                res = scadann_calibrate(
-                    model, preps[0].train_x, preps[0].train_y, priors, stream,
-                    acfg=cfg.adapt, hcfg=cfg.heuristic, cfg=_train_cfg(cfg.adapt_train, seed),
-                )
-                model = res.model
-                accs.append(accuracy(model.predict(preps[s].test_x), preps[s].test_y))
-                audit[s] = _pseudo_audit(res.pseudo, preps[s].stream_y, res.status)
-                if res.pseudo is not None and res.pseudo.kept_count > 0:
-                    priors.append(res.pseudo.gather(stream))
-            result.accuracies[algo] = accs
+            continue
+        first = 0 if algo == "recal_scadann" else 1
+        accs = nocal[:first]
+        model, priors, audit = model0, [], {}
+        for s in range(first, len(preps)):
+            seed = cell_seed(master_seed, sid, algo, s)
+            prep = preps[s]
+            if algo == "recal":
+                model = fit_new(cfg, prep.train_x, prep.train_y, seed)
+            elif algo == "recal_scadann":
+                base = fit_new(cfg, prep.train_x, prep.train_y, seed) if s else model0
+                model, _ = adapt_model("scadann", base, prep.train_x, prep.train_y,
+                                       [prep.stream_x], cfg, seed)
+            else:
+                streams = [p.stream_x for p in preps[1 : s + 1]] if algo == "mv" else [prep.stream_x]
+                base = model if algo == "scadann" else model0
+                model, res = adapt_model(algo, base, src.train_x, src.train_y, streams, cfg, seed, priors)
+                if res is not None:
+                    audit[s] = _pseudo_audit(res.pseudo, prep.stream_y, res.status)
+                    if res.pseudo is not None and res.pseudo.kept_count > 0:
+                        priors.append(res.pseudo.gather(prep.stream_x))
+            accs.append(accuracy(model.predict(prep.test_x), prep.test_y))
+        result.accuracies[algo] = accs
+        if algo == "scadann":
             result.pseudo_audit[algo] = audit
-        elif algo == "recal_scadann":
-            accs = []
-            for s in range(n_sessions):
-                seed = cell_seed(master_seed, sid, "recal_scadann", s)
-                if s == 0:
-                    base = model0.clone()
-                else:
-                    base = _build_model(cfg, seed)
-                    fit(base, preps[s].train_x, preps[s].train_y, _train_cfg(cfg.train, seed))
-                stream = _stream_or_fail(preps[s], "recal_scadann")
-                res = scadann_calibrate(
-                    base, preps[s].train_x, preps[s].train_y, [], stream,
-                    acfg=cfg.adapt, hcfg=cfg.heuristic, cfg=_train_cfg(cfg.adapt_train, seed),
-                )
-                accs.append(accuracy(res.model.predict(preps[s].test_x), preps[s].test_y))
-            result.accuracies[algo] = accs
-        else:
-            raise ParameterError(f"unhandled algorithm {algo!r}")
     return result
 
 

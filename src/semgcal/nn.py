@@ -12,13 +12,14 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 import struct
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, ShapeError, UsageError
+from .errors import DataError, ParameterError, SemgCalError, ShapeError, UsageError
 
 LEAKY_SLOPE = 0.1
 DROPOUT_P = 0.5
@@ -336,11 +337,24 @@ def save_network(model: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a `save_network` container; a missing, truncated or corrupt file
+    raises DataError (UsageError when it is not a container at all)."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read network {path}: {exc}") from exc
     if blob[: len(_MAGIC)] != _MAGIC:
         raise UsageError(f"{path}: not a network container")
-    off = len(_MAGIC)
+    try:
+        return _parse_network(blob, len(_MAGIC))
+    except SemgCalError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: corrupt network container ({exc!r})") from exc
+
+
+def _parse_network(blob: bytes, off: int) -> Network:
     (meta_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     meta = json.loads(blob[off : off + meta_len])
@@ -357,10 +371,14 @@ def load_network(path) -> Network:
         off += 1
         shape = struct.unpack_from(f"<{ndim}I", blob, off)
         off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)
+        if off + 4 * size > len(blob):
+            raise ValueError(f"tensor {name!r} runs past the end of the file")
         arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
         off += 4 * size
         arrays[name] = arr.copy()
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes")
     model = _BUILDERS[meta["kind"]](meta["num_gestures"])
     model.load_state_arrays(arrays)
     return model

@@ -204,8 +204,3 @@ def build_spectrogram_example(seg: Segment) -> SpectrogramExample:
     mags = np.abs(np.fft.rfft(frames * w, axis=-1))[:, :, 1:]
     tensor = np.ascontiguousarray(np.swapaxes(mags, 0, 1), dtype=np.float32)
     return SpectrogramExample(tensor=tensor, label=seg.label)
-
-
-def preprocess_segment(seg: Segment) -> Segment:
-    """Band-pass a raw segment with the default 20-495 Hz fourth-order filter."""
-    return bandpass_filter(seg)

@@ -6,15 +6,19 @@ import filecmp
 import numpy as np
 import pytest
 
-from semgcal import ParameterError
+from semgcal import DataError, ParameterError
 from semgcal.adapt import AdaptConfig
 from semgcal.dataio import save_manifest, save_report
 from semgcal.experiment import (
+    UNSUPERVISED,
     BenchmarkConfig,
     HarnessConfig,
+    adapt_model,
     benchmark_report,
     cell_seed,
     featurize,
+    fit_new,
+    from_overrides,
     prepare_session,
     run_benchmark,
     run_calibration_experiment,
@@ -109,6 +113,77 @@ class TestRunExperiment:
         assert cell_seed(1, 2, "dann") == cell_seed(1, 2, "dann")
         assert cell_seed(1, 2, "dann") != cell_seed(1, 3, "dann")
         assert cell_seed(1, 2, "dann") != cell_seed(1, 2, "vada")
+
+
+@pytest.fixture(scope="module")
+def adapt_setup(tiny_dataset):
+    cfg = tiny_harness(adapt_train=default_train_config(
+        "tsd_dnn", learning_rate=8e-4, max_epochs=2, batch_size=128,
+        early_stop_patience=3, anneal_patience=3))
+    src, tgt = (prepare_session(s, cfg) for s in tiny_dataset[0].sessions)
+    return cfg, fit_new(cfg, src.train_x, src.train_y, seed=1), src, tgt
+
+
+class TestAdaptModel:
+    @pytest.mark.parametrize("algo", UNSUPERVISED)
+    def test_input_model_unchanged(self, adapt_setup, algo):
+        cfg, model, src, tgt = adapt_setup
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        adapted, res = adapt_model(algo, model, src.train_x, src.train_y, [tgt.stream_x], cfg, seed=2)
+        assert adapted is not model
+        assert (res is not None) == (algo == "scadann")
+        after = model.state_arrays()
+        assert sorted(after) == sorted(before)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr, err_msg=name)
+
+    @pytest.mark.parametrize("streams", [[], [None], [np.zeros((0, 385), np.float32)]],
+                             ids=["none", "missing", "empty"])
+    def test_missing_stream_is_data_error(self, adapt_setup, streams):
+        cfg, model, src, _ = adapt_setup
+        with pytest.raises(DataError):
+            adapt_model("dann", model, src.train_x, src.train_y, streams, cfg, seed=2)
+
+    def test_supervised_algorithm_rejected(self, adapt_setup):
+        cfg, model, src, tgt = adapt_setup
+        with pytest.raises(ParameterError):
+            adapt_model("recal", model, src.train_x, src.train_y, [tgt.stream_x], cfg, seed=2)
+
+
+class TestFromOverrides:
+    def test_nested_values_applied_and_lists_become_tuples(self):
+        cfg = from_overrides(BenchmarkConfig(), {
+            "synth": {"subjects": 2},
+            "harness": {"algorithms": ["nocal", "mv"], "train": {"max_epochs": 3}},
+        })
+        assert cfg.synth.subjects == 2
+        assert cfg.harness.algorithms == ("nocal", "mv")
+        assert cfg.harness.train.max_epochs == 3
+        assert cfg.harness.train.learning_rate == BenchmarkConfig().harness.train.learning_rate
+
+    def test_does_not_modify_its_input(self):
+        base = BenchmarkConfig()
+        from_overrides(base, {"harness": {"gestures": 7, "heuristic": None}})
+        assert base.harness.gestures == 11
+        assert base.harness.heuristic.threshold_stable == 0.65
+
+    def test_none_rederives_gesture_dependent_threshold(self):
+        cfg = from_overrides(BenchmarkConfig(), {"harness": {"gestures": 7, "heuristic": None}})
+        assert cfg.harness.heuristic.threshold_stable == 0.85
+
+    @pytest.mark.parametrize("overrides", [
+        {"synth": {"subjectz": 1}},
+        {"harness": {"adapt": {"lambda_q": 1.0}}},
+        {"harness": {"input_kind": "bogus"}},
+        {"harness": {"gestures": 9}},
+        {"harness": {"algorithms": ["nocal", "magic"]}},
+        {"harness": {"train": {"batch_size": 0}}},
+        {"harness": 3},
+        {"synth": None},
+    ])
+    def test_invalid_overrides_raise_parameter_error(self, overrides):
+        with pytest.raises(ParameterError):
+            from_overrides(BenchmarkConfig(), overrides)
 
 
 class TestCalibrationSettings:

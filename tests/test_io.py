@@ -18,7 +18,25 @@ from semgcal.dataio import (
     save_report,
 )
 from semgcal.errors import DataError, SemgCalError
+from semgcal.nn import load_network
 from semgcal.signal import segment_stream
+
+
+@pytest.fixture(scope="module")
+def trained_cli_model(tmp_path_factory):
+    """A two-session 7-gesture dataset and a model trained on session 0 by the CLI."""
+    root = tmp_path_factory.mktemp("cli")
+    data_dir, model_dir = root / "data", root / "models"
+    assert main([
+        "synth", "--seed", "1", "--out", str(data_dir),
+        "--subjects", "1", "--sessions", "2", "--gestures", "7",
+        "--block-seconds", "0.8", "--eval-blocks", "6", "--eval-block-seconds", "0.8",
+    ]) == 0
+    assert main([
+        "train", "--data", str(data_dir), "--subject", "0", "--session", "0",
+        "--gestures", "7", "--seed", "3", "--out", str(model_dir),
+    ]) == 0
+    return data_dir, model_dir / "model_subject0_session0.bin"
 
 
 def small_cfg(**kw):
@@ -231,6 +249,58 @@ class TestCli:
         assert (out / "accuracy_1.csv").exists()
         rc = main(["report", "--report", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("algo", ["dann", "vada", "dirtt", "adabn", "mv", "scadann"])
+    def test_adapt_each_algorithm(self, trained_cli_model, tmp_path, algo):
+        data_dir, model_path = trained_cli_model
+        before = model_path.read_bytes()
+        rc = main([
+            "adapt", algo, "--data", str(data_dir), "--model", str(model_path),
+            "--subject", "0", "--session", "1", "--gestures", "7",
+            "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        adapted = load_network(tmp_path / f"model_{algo}_subject0_session1.bin")
+        assert adapted.num_gestures == 7
+        assert model_path.read_bytes() == before
+
+    def test_adapt_rejects_model_with_other_gesture_count(self, trained_cli_model, tmp_path):
+        data_dir, model_path = trained_cli_model
+        rc = main([
+            "adapt", "scadann", "--data", str(data_dir), "--model", str(model_path),
+            "--subject", "0", "--session", "1", "--gestures", "11",
+            "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert not list(tmp_path.glob("model_*.bin"))
+
+    @pytest.mark.parametrize("content", [
+        json.dumps({"synth": {"subjectz": 2}}),
+        json.dumps({"harness": {"train": {"max_epochz": 3}}}),
+        json.dumps({"harness": {"input_kind": "bogus"}}),
+        json.dumps({"harness": {"heuristic": {"threshold_stable": 1.5}}}),
+        json.dumps({"harness": None}),
+        json.dumps(["synth"]),
+        '{"synth": {"subjects": 2',
+        None,
+    ], ids=["unknown-synth-key", "unknown-train-key", "bogus-input-kind", "invalid-threshold",
+            "null-section", "not-an-object", "malformed-json", "missing-file"])
+    def test_evaluate_bad_override_file_exits_1(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "overrides.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    def test_report_on_bad_path_exits_1(self, tmp_path, content):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", "--report", str(path)]) == 1
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,18 @@
 """Architecture fidelity, batch-norm behavior, dropout and serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgcal import (
+    DataError,
+    Network,
     ParameterError,
+    SemgCalError,
     UsageError,
     build_spectrogram_convnet,
     build_tsd_dnn,
@@ -176,6 +184,62 @@ class TestSerialization:
         path.write_bytes(b"not a container")
         with pytest.raises(UsageError):
             load_network(path)
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory):
+    """A saved 7-gesture TSD DNN and a scratch path for damaged copies of it."""
+    d = tmp_path_factory.mktemp("blob")
+    save_network(build_tsd_dnn(7, seed=4), d / "model.bin")
+    return (d / "model.bin").read_bytes(), d / "damaged.bin"
+
+
+# Most of a container is float data; weight the draws toward the headers.
+_HEADER_BYTES = 512
+
+
+class TestCorruptContainers:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_truncation_raises_semgcal_error(self, saved_blob, data):
+        blob, path = saved_blob
+        cut = data.draw(st.one_of(st.integers(0, _HEADER_BYTES), st.integers(0, len(blob) - 1)))
+        path.write_bytes(blob[:cut])
+        with pytest.raises(SemgCalError):
+            load_network(path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_flip_loads_or_raises_semgcal_error(self, saved_blob, data):
+        blob, path = saved_blob
+        bit = data.draw(st.one_of(st.integers(0, 8 * _HEADER_BYTES - 1), st.integers(0, 8 * len(blob) - 1)))
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(damaged))
+        try:
+            assert isinstance(load_network(path), Network)
+        except SemgCalError:
+            pass
+
+    @pytest.mark.parametrize("meta", [{"kind": "lstm", "num_gestures": 7}, {"num_gestures": 7},
+                                      ["tsd_dnn", 7], {"kind": "tsd_dnn", "num_gestures": 7.0}])
+    def test_bad_metadata_raises_semgcal_error(self, saved_blob, meta):
+        blob, path = saved_blob
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[12 + meta_len:])
+        with pytest.raises(SemgCalError):
+            load_network(path)
+
+    def test_trailing_bytes_rejected(self, saved_blob):
+        blob, path = saved_blob
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(DataError):
+            load_network(path)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            load_network(tmp_path / "absent.bin")
 
 
 class TestReproducibility:
