@@ -28,7 +28,7 @@ from .adapt import (
     scadann_calibrate,
     vada_train,
 )
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, EmptyInputError, NumericError, ParameterError
 from .features import tsd_matrix
 from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
 from .relabel import HeuristicConfig
@@ -114,6 +114,8 @@ def _filter_stack(segments) -> np.ndarray:
 
 def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Segments -> (X, y) under the requested input kind; unlabeled y = -1."""
+    if len(segments) == 0:
+        raise EmptyInputError("no segments to featurize")
     filtered = _filter_stack(segments)
     if input_kind == "tsd":
         x = tsd_matrix(filtered).astype(np.float32)

@@ -362,6 +362,7 @@ def benchmark_run(tmp_path_factory):
     return report, out, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_benchmark(benchmark_run):
     with criterion(6, "20-subject benchmark: decay, SCADANN wins, DA algorithms hold"):
         report, _, elapsed = benchmark_run
@@ -388,6 +389,7 @@ def test_criterion_6_synthetic_benchmark(benchmark_run):
             assert algo_mean >= nocal_mean - 0.005, algo
 
 
+@pytest.mark.slow
 def test_criterion_8_reproducibility(benchmark_run, tmp_path_factory):
     with criterion(8, "two full benchmark runs produce byte-identical reports"):
         _, first_dir, _ = benchmark_run

@@ -103,6 +103,11 @@ class TestRunExperiment:
         r2 = run_experiment(tiny_dataset, cfg, master_seed=7)
         assert [r.accuracies for r in r1] == [r.accuracies for r in r2]
 
+    def test_worker_count_does_not_change_results(self, tiny_dataset):
+        serial = run_experiment(tiny_dataset, tiny_harness(workers=1), master_seed=5)
+        threaded = run_experiment(tiny_dataset, tiny_harness(workers=2), master_seed=5)
+        assert serial == threaded
+
     def test_master_seed_changes_results(self, tiny_dataset):
         cfg = tiny_harness(algorithms=("nocal",))
         r1 = run_experiment(tiny_dataset, cfg, master_seed=1)

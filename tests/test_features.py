@@ -1,27 +1,35 @@
 """TD features, TSD descriptors/features and the LDA baseline."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from semgcal import (
     DataError,
+    EmptyInputError,
     FeatureExample,
     NumericError,
     Segment,
+    ShapeError,
     lda_fit,
     lda_predict,
     td_features,
     tsd_descriptor,
     tsd_features,
 )
+from semgcal import features
+from semgcal.experiment import _filter_stack, featurize
 from semgcal.features import (
     TSD_EPS,
+    _real_cepstrum,
+    _similarity_combine,
     lda_discriminants,
     lda_fit_arrays,
-    real_cepstrum,
-    similarity_combine,
     tsd_matrix,
 )
+from semgcal.signal import segment_stream
+from semgcal.synth import SynthConfig, synth_generate
 
 
 def seg_with_channel(values, channel=0, width=None):
@@ -119,7 +127,7 @@ class TestTsdFeatures:
 
     def test_identical_descriptor_pair_gives_one(self):
         a = np.array([1.0, -2.0, 0.5, 3.0, -0.1, 2.2, 1.1])
-        f = similarity_combine(a, a)
+        f = _similarity_combine(a, a)
         np.testing.assert_allclose(f, 1.0, atol=1e-6)
 
     def test_zero_segment_gives_zeros(self):
@@ -144,9 +152,147 @@ class TestTsdFeatures:
 
     def test_cepstrum_shape_and_determinism(self):
         x = np.random.default_rng(2).standard_normal(150)
-        c1, c2 = real_cepstrum(x), real_cepstrum(x)
+        c1, c2 = _real_cepstrum(x), _real_cepstrum(x)
         assert c1.shape == (150,)
         assert np.array_equal(c1, c2)
+
+
+# -- frozen reference: the TSD extraction as it stood before the flat-buffer
+# rewrite, kept verbatim so the rewrite is held to the same float64 bits.
+
+
+def _reference_descriptors(x):
+    x = np.asarray(x, dtype=np.float64)
+    d1 = x[..., 1:] - x[..., :-1]
+    d2 = d1[..., 1:] - d1[..., :-1]
+    m0 = np.sqrt(np.einsum("...i,...i->...", x, x))
+    m2 = np.sqrt(np.einsum("...i,...i->...", d1, d1))
+    m4 = np.sqrt(np.einsum("...i,...i->...", d2, d2))
+
+    sparse_den = np.maximum(np.sqrt(np.abs((m0 - m2) * (m0 - m4))), TSD_EPS)
+    sparseness = m0 / sparse_den
+    irr_den = np.maximum(np.sqrt(np.abs(m0 * m4)), TSD_EPS)
+    irregularity = m2 / irr_den
+
+    mean_abs = np.mean(np.abs(x), axis=-1)
+    cov = np.std(x, axis=-1) / np.maximum(mean_abs, TSD_EPS)
+    tk = np.sum(np.abs(x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]), axis=-1)
+
+    comps = np.stack(
+        [m0, np.abs(m0 - m2), np.abs(m0 - m4), sparseness, irregularity, cov, tk], axis=-1
+    )
+    out = np.log(TSD_EPS + np.abs(comps))
+    zero_rows = ~np.any(x != 0.0, axis=-1)
+    out[zero_rows] = np.log(TSD_EPS)
+    return out
+
+
+def _reference_cepstrum(x):
+    spec = np.abs(np.fft.rfft(x, axis=-1))
+    return np.fft.irfft(np.log(spec + TSD_EPS), n=x.shape[-1], axis=-1)
+
+
+def _reference_tsd_matrix(batch, chunk=96):
+    batch = np.asarray(batch, dtype=np.float64)
+    n, c, _ = batch.shape
+    pi, pj = np.triu_indices(c, k=1)
+    out = np.empty((n, 7 * (c + len(pi))), dtype=np.float64)
+    for lo in range(0, n, chunk):
+        part = batch[lo : lo + chunk]
+        signals = np.concatenate([part, part[:, pi, :] - part[:, pj, :]], axis=1)
+        a = _reference_descriptors(signals)
+        b = _reference_descriptors(_reference_cepstrum(signals))
+        combined = 2.0 * a * b / (a * a + b * b + TSD_EPS)  # (chunk, 55, 7)
+        zero_rows = ~np.any(signals != 0.0, axis=-1)
+        combined[zero_rows] = 0.0
+        out[lo : lo + chunk] = combined.reshape(len(part), -1)
+    return out
+
+
+@pytest.fixture(scope="module")
+def tsd_windows():
+    """97 windows (10, 150) with every edge case the descriptors special-case."""
+    rng = np.random.default_rng(2024)
+    synth = synth_generate(SynthConfig(subjects=1, sessions=1, gestures=3, seed=5, cycles=1,
+                                       cycle_block_seconds=1.0, eval_blocks=1, eval_block_seconds=1.0))
+    segs = [s for rec in synth[0].sessions[0].cycles[0].values() for s in segment_stream(rec)]
+    filtered = _filter_stack(segs)[:40]
+    scales = rng.uniform(0.01, 3000.0, size=(57, 1, 1))
+    windows = np.concatenate([rng.standard_normal((57, 10, 150)) * scales, filtered])
+    windows = windows[rng.permutation(97)]
+    windows[0, 4] = 0.0  # one silent channel
+    windows[14] = rng.integers(-32768, 32768, size=(10, 150))  # int16 range
+    windows[15] = 0.0  # a silent window, last row of the first 16-row pass
+    windows[16, 7] = windows[16, 2]  # identical channels: a zero pair difference
+    windows[30, 1] = 0.0
+    windows[30, 1, 75] = 1e-310  # one subnormal sample
+    windows[96] = 0.0
+    return windows
+
+
+class TestTsdMatrixBitExact:
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 97])
+    def test_equals_frozen_reference(self, tsd_windows, rows):
+        batch = tsd_windows[:rows]
+        assert np.array_equal(tsd_matrix(batch), _reference_tsd_matrix(batch))
+
+    def test_row_alone_equals_row_in_batch(self, tsd_windows):
+        whole = tsd_matrix(tsd_windows)
+        for i, window in enumerate(tsd_windows):
+            assert np.array_equal(tsd_matrix(window[None])[0], whole[i]), i
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_split_gives_the_same_bits(self, tsd_windows, monkeypatch, cpus):
+        monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
+        assert np.array_equal(tsd_matrix(tsd_windows), _reference_tsd_matrix(tsd_windows))
+
+    def test_descriptor_and_cepstrum_equal_reference(self, tsd_windows):
+        rng = np.random.default_rng(9)
+        signals = [rng.standard_normal(n) * 40 for n in (3, 4, 17, 150, 301)]
+        signals += [tsd_windows[0, 2], np.zeros(150)]
+        for x in signals:
+            assert np.array_equal(tsd_descriptor(x), _reference_descriptors(x))
+        assert np.array_equal(_real_cepstrum(tsd_windows), _reference_cepstrum(tsd_windows))
+
+    def test_concurrent_callers_get_the_serial_result(self, tsd_windows):
+        batches = [tsd_windows, tsd_windows[::-1].copy()]
+        results = [[], []]
+
+        def call(i):
+            results[i] = [tsd_matrix(batches[i]) for _ in range(3)]
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for batch, outs in zip(batches, results):
+            want = _reference_tsd_matrix(batch)
+            assert len(outs) == 3 and all(np.array_equal(out, want) for out in outs)
+
+
+class TestTsdBoundaries:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: tsd_matrix(np.ones((10, 150))), ShapeError),
+        (lambda: tsd_matrix(np.ones((2, 10, 2))), ShapeError),
+        (lambda: tsd_matrix(np.ones((2, 9, 150))), ShapeError),
+        (lambda: tsd_matrix(np.ones((2, 10, 150, 1))), ShapeError),
+        (lambda: featurize([], "tsd"), EmptyInputError),
+        (lambda: featurize([], "spectrogram"), EmptyInputError),
+    ], ids=["2-D", "2-samples", "9-channels", "4-D", "featurize-empty", "spectrogram-empty"])
+    def test_bad_input_raises(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_empty_and_single_batches_start_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(features, "ThreadPoolExecutor", no_pool)
+        assert tsd_matrix(np.zeros((0, 10, 150))).shape == (0, 385)
+        assert tsd_matrix(np.ones((1, 10, 150))).shape == (1, 385)
+        assert tsd_matrix(np.ones((16, 10, 150))).shape == (16, 385)
 
 
 def gaussian_clusters(seed=0, n=100, d=8, sep=5.0):
