@@ -41,7 +41,6 @@ from .nn import (
     Network,
     build_spectrogram_convnet,
     build_tsd_dnn,
-    forward,
     load_network,
     save_network,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "default_train_config",
     "dirt_t_refine",
     "find_transition_start",
-    "forward",
     "friedman_test",
     "generate_pseudo_labels",
     "hann_window",

@@ -307,9 +307,12 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Net
     """Replace every batch-norm layer's running statistics with the population
     statistics of its input over the target data; all weights stay untouched.
 
-    Layers are processed in forward order with eval-mode propagation, so the
-    statistics feeding layer k+1 already reflect layer k's update; running the
-    adaptation twice with the same data is a fixed point.
+    One eval-mode sweep moves the target batches through the feature layers,
+    holding one layer's activations at a time: at each batch norm the
+    statistics of its input are set before the batches pass through it, so
+    the statistics feeding layer k+1 already reflect layer k's update. The
+    sweep stops after the last batch norm. Running the adaptation twice with
+    the same data is a fixed point.
     """
     x = np.asarray(x_tgt, dtype=np.float32)
     if len(x) < 2:
@@ -317,29 +320,34 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Net
     out = model.clone()
     out.eval()
     ctx = _Ctx(False, None)
+    layers = out.feature_layers
+    last_bn = max((pos for pos, layer in enumerate(layers) if isinstance(layer, BatchNorm)), default=-1)
+    acts = [x[lo : lo + batch_size] for lo in range(0, len(x), batch_size)]
     with ad.no_grad():
-        for pos, layer in enumerate(out.feature_layers):
-            if not isinstance(layer, BatchNorm):
-                continue
-            total = None
-            total_sq = None
-            count = 0
-            for lo in range(0, len(x), batch_size):
-                t = Tensor(x[lo : lo + batch_size])
-                for prev in out.feature_layers[:pos]:
-                    t = prev(t, ctx)
-                a = t.data.astype(np.float64)
-                axes = (0, 2, 3) if a.ndim == 4 else (0,)
-                batch_count = a.size // a.shape[1]
-                s = a.sum(axis=axes)
-                sq = (a * a).sum(axis=axes)
-                total = s if total is None else total + s
-                total_sq = sq if total_sq is None else total_sq + sq
-                count += batch_count
-            mean = total / count
-            var = np.maximum(total_sq / count - mean * mean, 1e-12)
-            layer.set_stats(mean, var)
+        for pos, layer in enumerate(layers[: last_bn + 1]):
+            if isinstance(layer, BatchNorm):
+                layer.set_stats(*_population_stats(acts))
+            if pos < last_bn:
+                for k, a in enumerate(acts):
+                    acts[k] = layer(Tensor(a), ctx).data
     return out
+
+
+def _population_stats(batches) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and variance over a list of batches, in float64."""
+    total = None
+    total_sq = None
+    count = 0
+    for batch in batches:
+        a = batch.astype(np.float64)
+        axes = (0, 2, 3) if a.ndim == 4 else (0,)
+        s = a.sum(axis=axes)
+        sq = (a * a).sum(axis=axes)
+        total = s if total is None else total + s
+        total_sq = sq if total_sq is None else total_sq + sq
+        count += a.size // a.shape[1]
+    mean = total / count
+    return mean, np.maximum(total_sq / count - mean * mean, 1e-12)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ParameterError, ShapeError, UsageError
 
 _state = threading.local()
 
@@ -240,13 +240,19 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, slope * a.data)
+    """max(a, slope * a), which is the leaky ReLU for a slope in [0, 1]."""
+    if not 0.0 <= slope <= 1.0:
+        raise ParameterError(f"leaky ReLU slope must be in [0, 1], got {slope}")
+
+    data = a.data
 
     def backward(g):
-        a._accumulate(np.where(mask, g, slope * g))
+        # g times 1 or slope, looked up per element: the bits of
+        # np.where(data > 0, g, slope * g) without a branch per element.
+        factor = np.array([slope, 1.0], dtype=g.dtype).take((data > 0).view(np.uint8))
+        a._accumulate(g * factor)
 
-    return _make(out_data, (a,), backward)
+    return _make(np.maximum(data, slope * data), (a,), backward)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -289,9 +295,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Valid (no padding), stride-1 2-D convolution via im2col.
+    """Valid (no padding), stride-1 2-D convolution via channel-major im2col.
 
     x: (N, C, H, W); w: (O, C, kh, kw) -> (N, O, H - kh + 1, W - kw + 1).
+
+    The columns are gathered as `cols_t` of shape (C*kh*kw, N*oh*ow): one
+    slice copy per kernel offset (i, j) from the channel-major view of `x`,
+    each moving contiguous rows of `ow` values, so the forward pass is the
+    single GEMM `w_flat @ cols_t` (Chellapilla et al. 2006). The backward
+    pass reuses `cols_t` for the kernel gradient and scatters the column
+    gradient back with one slab add per kernel offset (col2im, Dumoulin &
+    Visin 2016).
     """
     n, c, h, wd = x.data.shape
     o, c2, kh, kw = w.data.shape
@@ -300,25 +314,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     oh, ow = h - kh + 1, wd - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{wd})")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    x_t = x.data.transpose(1, 0, 2, 3)
+    cols_t = np.empty((c, kh, kw, n, oh, ow), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols_t[:, i, j] = x_t[:, :, i : i + oh, j : j + ow]
+    cols_t = cols_t.reshape(c * kh * kw, n * oh * ow)
     w_flat = w.data.reshape(o, -1)
-    out_data = (cols @ w_flat.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    out_data = (w_flat @ cols_t).reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out_data = out_data + b.data[None, :, None, None]
 
     def backward(g):
-        g_mat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
+        g_t = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
         if w.requires_grad:
-            w._accumulate((g_mat.T @ cols).reshape(w.data.shape))
+            w._accumulate((g_t @ cols_t.T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = (g_mat @ w_flat).reshape(n, oh, ow, c, kh, kw)
+            dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dx = np.zeros_like(x.data)
+            dx_t = dx.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
-                    dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    dx_t[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
             x._accumulate(dx)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -358,15 +377,22 @@ def batch_norm(
         return v[None, :, None, None] if is_conv else v[None, :]
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # The arithmetic of x.mean() and x.var() (a sum, then true division
+        # by the intp count), with the sum taken once and the centred input
+        # reused for both the variance and xhat.
+        m = x.data.size // x.data.shape[1]
+        count = np.intp(m)
+        mean = np.add.reduce(x.data, axis=axes)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        xhat = x.data - expand(mean)
+        var = np.add.reduce(np.square(xhat), axis=axes)
+        np.true_divide(var, count, out=var, casting="unsafe")
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.astype(running_mean.dtype)
         running_var *= 1.0 - momentum
         running_var += momentum * var.astype(running_var.dtype)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - expand(mean)) * expand(inv_std)
-        m = x.data.size // x.data.shape[1]
+        xhat *= expand(inv_std)
 
         def backward(g):
             if gamma.requires_grad:
@@ -381,7 +407,8 @@ def batch_norm(
 
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
-        xhat = (x.data - expand(running_mean.astype(x.data.dtype))) * expand(inv_std)
+        xhat = x.data - expand(running_mean.astype(x.data.dtype))
+        xhat *= expand(inv_std)
 
         def backward(g):
             if gamma.requires_grad:

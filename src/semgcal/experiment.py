@@ -66,6 +66,8 @@ class HarnessConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ParameterError(f"unknown algorithms: {sorted(unknown)}")
+        # Fields left None are derived; `from_overrides` derives them again.
+        self._derived = tuple(name for name in ("heuristic", "adapt_train") if getattr(self, name) is None)
         if self.heuristic is None:
             threshold = 0.85 if self.gestures == 7 else 0.65
             self.heuristic = HeuristicConfig(threshold_stable=threshold)
@@ -77,11 +79,13 @@ def from_overrides(obj, overrides: dict):
     """Copy of the dataclass `obj` with a nested dict of `overrides` applied.
 
     Every level goes through `dataclasses.replace`, so each `__post_init__`
-    validates its values again. A dict value updates a nested config field by
-    field; None resets a field whose default is None (such as the
-    gesture-dependent `heuristic`) so it is derived again; a JSON list
-    becomes a tuple where the field holds one. Unknown keys raise
-    ParameterError.
+    validates its values again. A field that `__post_init__` derived (listed
+    in the object's `_derived`, such as the gesture-dependent `heuristic` or
+    an `adapt_train` copied from `train`) is derived again from the new
+    values unless the overrides set it. A dict value updates a nested config
+    field by field; None resets a field whose default is None so it is
+    derived; a JSON list becomes a tuple where the field holds one. Unknown
+    keys raise ParameterError.
     """
     if not isinstance(overrides, dict):
         raise ParameterError(f"{type(obj).__name__} overrides must be an object, got {overrides!r}")
@@ -89,7 +93,7 @@ def from_overrides(obj, overrides: dict):
     unknown = sorted(set(overrides) - set(fields))
     if unknown:
         raise ParameterError(f"unknown {type(obj).__name__} keys: {unknown}")
-    changes = {}
+    changes = {key: None for key in getattr(obj, "_derived", ())}
     for key, value in overrides.items():
         current = getattr(obj, key)
         if dataclasses.is_dataclass(current) and not (value is None and fields[key].default is None):

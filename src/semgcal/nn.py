@@ -260,14 +260,6 @@ class Network:
             raise UsageError(f"unexpected tensors in state: {sorted(extra)}")
 
 
-def forward(model: Network, batch: np.ndarray, head: str = "gesture") -> np.ndarray:
-    """Softmax rows of `batch` under the requested head (eval conventions apply
-    to dropout only; batch norm honors the model's training flag)."""
-    with ad.no_grad():
-        logits = model.logits(batch, head=head)
-        return ad.softmax(logits).data
-
-
 def build_spectrogram_convnet(num_gestures: int, seed: int = 0, dtype=np.float32) -> Network:
     """Four conv blocks (conv -> BN -> leaky ReLU -> dropout), global average
     pooling, then an 11-way (or 7-way) gesture head and a 2-way domain head."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericError, ParameterError
 from .nn import Network
 from .optim import Adam
 
@@ -115,6 +115,9 @@ def fit(
 ) -> TrainHistory:
     """Train `model` in place; restores the best-validation parameters at exit.
 
+    Non-finite training or validation inputs raise DataError before any
+    step; a validation loss that is never finite raises NumericError.
+
     `step_extra(model, rng, xb, yb, feats)` may return an extra loss Tensor
     which is added to the cross-entropy of the batch. `val_data` overrides the
     internal stratified 90/10 split (used when early stopping must watch a
@@ -124,6 +127,10 @@ def fit(
     y = np.asarray(y, dtype=np.int64)
     if len(x) == 0:
         raise DataError("empty training set")
+    if not np.isfinite(x).all():
+        raise DataError("training inputs contain NaN or infinite values")
+    if val_data is not None and not np.isfinite(val_data[0]).all():
+        raise DataError("validation inputs contain NaN or infinite values")
     if y.max() >= model.num_gestures or y.min() < 0:
         raise DataError(
             f"labels outside 0..{model.num_gestures - 1} for a {model.num_gestures}-gesture head"
@@ -174,6 +181,8 @@ def fit(
                 since_anneal = 0
             if since_improve >= cfg.early_stop_patience:
                 break
+    if history.best_epoch < 0:
+        raise NumericError(f"no finite validation loss in {len(history.epochs)} epochs")
     model.load_state_arrays(best_state)
     model.eval()
     return history

@@ -114,6 +114,20 @@ class TestOpGradients:
 
         assert check_gradients(loss_fn, [x, w, b]) > 0
 
+    @pytest.mark.parametrize("kernel", [(2, 3), (1, 1)], ids=["2x3", "1x1"])
+    def test_conv2d_non_square_and_pointwise_kernels(self, kernel):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((4, 3, *kernel))
+        b = rng.standard_normal(4)
+
+        def loss_fn(arrays, tensors):
+            tx, tw, tb = _wrap(arrays, tensors)
+            out = conv2d(tx, tw, tb)
+            return mean_all(mul(out, out))
+
+        assert check_gradients(loss_fn, [x, w, b]) > 0
+
     def test_batch_norm_train_mode(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 5))

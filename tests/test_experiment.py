@@ -8,7 +8,7 @@ import pytest
 
 from semgcal import DataError, ParameterError
 from semgcal.adapt import AdaptConfig
-from semgcal.dataio import save_manifest, save_report
+from semgcal.dataio import canonical_json, config_digest, save_manifest, save_report
 from semgcal.experiment import (
     UNSUPERVISED,
     BenchmarkConfig,
@@ -24,6 +24,7 @@ from semgcal.experiment import (
     run_calibration_experiment,
     run_experiment,
 )
+from semgcal.relabel import HeuristicConfig
 from semgcal.signal import segment_stream
 from semgcal.synth import SynthConfig, synth_generate
 from semgcal.train import default_train_config
@@ -175,6 +176,39 @@ class TestFromOverrides:
     def test_none_rederives_gesture_dependent_threshold(self):
         cfg = from_overrides(BenchmarkConfig(), {"harness": {"gestures": 7, "heuristic": None}})
         assert cfg.harness.heuristic.threshold_stable == 0.85
+
+    def test_gestures_override_rederives_threshold(self):
+        cfg = from_overrides(BenchmarkConfig(), {"harness": {"gestures": 7}})
+        assert cfg.harness.heuristic.threshold_stable == 0.85
+        back = from_overrides(cfg, {"harness": {"gestures": 11}})
+        assert back.harness.heuristic.threshold_stable == 0.65
+
+    def test_explicit_heuristic_survives_gestures_override(self):
+        base = HarnessConfig(heuristic=HeuristicConfig(threshold_stable=0.7))
+        cfg = from_overrides(base, {"gestures": 7})
+        assert cfg.heuristic.threshold_stable == 0.7
+        cfg = from_overrides(HarnessConfig(), {"gestures": 7, "heuristic": {"threshold_stable": 0.6}})
+        assert cfg.heuristic.threshold_stable == 0.6
+
+    def test_train_override_reaches_derived_adapt_train(self):
+        cfg = from_overrides(HarnessConfig(), {"train": {"max_epochs": 3}})
+        assert cfg.train.max_epochs == 3
+        assert cfg.adapt_train == cfg.train
+
+    def test_train_override_leaves_explicit_adapt_train(self):
+        base = BenchmarkConfig()
+        cfg = from_overrides(base, {"harness": {"train": {"max_epochs": 3}}})
+        assert cfg.harness.train.max_epochs == 3
+        assert cfg.harness.adapt_train == base.harness.adapt_train
+
+    @pytest.mark.parametrize("overrides", [{}, {"synth": {}, "harness": {}}], ids=["none", "empty"])
+    def test_no_overrides_keep_config_digest(self, overrides):
+        base = BenchmarkConfig(seed=4)
+        cfg = from_overrides(base, overrides)
+        assert cfg == base
+        assert canonical_json(cfg) == canonical_json(base)
+        assert config_digest(cfg) == config_digest(base)
+        assert "_derived" not in canonical_json(cfg)
 
     @pytest.mark.parametrize("overrides", [
         {"synth": {"subjectz": 1}},

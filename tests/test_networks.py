@@ -16,7 +16,6 @@ from semgcal import (
     UsageError,
     build_spectrogram_convnet,
     build_tsd_dnn,
-    forward,
     load_network,
     save_network,
 )
@@ -31,8 +30,8 @@ class TestSpectrogramConvnet:
     def test_input_output_shapes(self):
         model = build_spectrogram_convnet(11).eval()
         x = np.random.default_rng(0).standard_normal((5, 4, 10, 24)).astype(np.float32)
-        assert forward(model, x).shape == (5, 11)
-        assert forward(model, x, head="domain").shape == (5, 2)
+        assert model.predict_probs(x).shape == (5, 11)
+        assert model.predict_probs(x, head="domain").shape == (5, 2)
 
     def test_seven_gesture_build_differs_only_in_head(self):
         m11 = build_spectrogram_convnet(11, seed=3)
@@ -44,7 +43,7 @@ class TestSpectrogramConvnet:
                 assert p11[name].data.shape != p7[name].data.shape
             else:
                 assert p11[name].data.shape == p7[name].data.shape
-        assert forward(m7.eval(), np.zeros((2, 4, 10, 24), dtype=np.float32)).shape == (2, 7)
+        assert m7.predict_probs(np.zeros((2, 4, 10, 24), dtype=np.float32)).shape == (2, 7)
 
     def test_invalid_gesture_count(self):
         with pytest.raises(ParameterError):
@@ -76,7 +75,7 @@ class TestTsdDnn:
 
     def test_zero_vector_eval_finite(self):
         model = build_tsd_dnn(7).eval()
-        out = forward(model, np.zeros((1, 385), dtype=np.float32))
+        out = model.predict_probs(np.zeros((1, 385), dtype=np.float32))
         assert np.all(np.isfinite(out))
         assert out.shape == (1, 7)
 
@@ -85,20 +84,20 @@ class TestForwardContracts:
     def test_softmax_rows_sum_to_one(self):
         model = build_tsd_dnn(11).eval()
         x = np.random.default_rng(1).standard_normal((9, 385)).astype(np.float32)
-        p = forward(model, x)
+        p = model.predict_probs(x)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
 
     def test_eval_mode_deterministic(self):
         model = build_spectrogram_convnet(11).eval()
         x = np.random.default_rng(2).standard_normal((3, 4, 10, 24)).astype(np.float32)
-        np.testing.assert_array_equal(forward(model, x), forward(model, x))
+        np.testing.assert_array_equal(model.predict_probs(x), model.predict_probs(x))
 
     def test_eval_output_independent_of_batch_composition(self):
         model = build_tsd_dnn(11).eval()
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 385)).astype(np.float32)
-        alone = forward(model, x[:1])
-        batched = forward(model, x)[:1]
+        alone = model.predict_probs(x[:1])
+        batched = model.predict_probs(x)[:1]
         np.testing.assert_allclose(alone, batched, atol=1e-5)
 
     def test_unknown_head(self):

@@ -5,7 +5,7 @@ import pytest
 
 from semgcal import Adam, DataError, NumericError, TrainConfig, build_tsd_dnn, train_supervised
 from semgcal.autodiff import Tensor, mean_all, mul, sum_all
-from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, stratified_split
+from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, fit, stratified_split
 
 
 class TestAdam:
@@ -127,6 +127,30 @@ class TestTrainSupervised:
             train_supervised(model, x, np.where(y == 1, 42, 0), TrainConfig())
         with pytest.raises(DataError):
             train_supervised(model, x[:0], y[:0], TrainConfig())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_inputs_rejected_before_training(self, bad):
+        x, y = separable_tsd_data(seed=1, n_per_class=10)
+        model = build_tsd_dnn(11, seed=0)
+        before = model.state_arrays()
+        x_bad = x.copy()
+        x_bad[3, 7] = bad
+        with pytest.raises(DataError):
+            fit(model, x_bad, y, TrainConfig(max_epochs=1))
+        with pytest.raises(DataError):
+            fit(model, x, y, TrainConfig(max_epochs=1), val_data=(x_bad, y))
+        for name, arr in model.state_arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+    def test_never_finite_validation_loss_raises(self):
+        # NaN running variance: training-mode steps use batch statistics and
+        # stay finite, while every eval-mode validation loss is NaN.
+        x, y = separable_tsd_data(seed=2, n_per_class=20)
+        model = build_tsd_dnn(11, seed=0)
+        model.bn_layers()[0].running_var[:] = np.nan
+        cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop_patience=2, seed=1)
+        with pytest.raises(NumericError):
+            fit(model, x, y, cfg)
 
     def test_every_observed_class_survives_the_split(self):
         x, y = separable_tsd_data(seed=6, n_per_class=12, classes=4)
