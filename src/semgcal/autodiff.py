@@ -62,9 +62,19 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add `g` to this tensor's gradient.
+
+        `owned` says the caller created `g` for this call and holds it nowhere
+        else, so a first gradient of the tensor's dtype is `g` itself. Any
+        other array, such as an output gradient passed through unchanged or a
+        view of one, is copied: no two gradients ever share memory.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if owned and type(g) is np.ndarray and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -131,9 +141,11 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accumulate(ga, owned=ga is not g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            b._accumulate(gb, owned=gb is not g)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -143,9 +155,10 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accumulate(ga, owned=ga is not g)
         if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.data.shape))
+            b._accumulate(-_unbroadcast(g, b.data.shape), owned=True)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -155,9 +168,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -166,7 +179,7 @@ def neg(a) -> Tensor:
     a = _as_tensor(a)
 
     def backward(g):
-        a._accumulate(-g)
+        a._accumulate(-g, owned=True)
 
     return _make(-a.data, (a,), backward)
 
@@ -176,7 +189,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        a._accumulate(g * out_data)
+        a._accumulate(g * out_data, owned=True)
 
     return _make(out_data, (a,), backward)
 
@@ -184,9 +197,9 @@ def exp(a) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, owned=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, owned=True)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -216,7 +229,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _make(np.asarray(a.data.sum()), (a,), backward)
 
@@ -225,7 +238,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
     def backward(g):
-        a._accumulate(np.broadcast_to(g / n, a.data.shape).astype(a.data.dtype))
+        a._accumulate(np.broadcast_to(g / n, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _make(np.asarray(a.data.mean()), (a,), backward)
 
@@ -234,7 +247,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -250,7 +263,7 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
         # g times 1 or slope, looked up per element: the bits of
         # np.where(data > 0, g, slope * g) without a branch per element.
         factor = np.array([slope, 1.0], dtype=g.dtype).take((data > 0).view(np.uint8))
-        a._accumulate(g * factor)
+        a._accumulate(g * factor, owned=True)
 
     return _make(np.maximum(data, slope * data), (a,), backward)
 
@@ -262,7 +275,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
 
     def backward(g):
-        a._accumulate(g * keep)
+        a._accumulate(g * keep, owned=True)
 
     return _make(a.data * keep, (a,), backward)
 
@@ -271,7 +284,7 @@ def gradient_reversal(a: Tensor, lambda_d: float = 1.0) -> Tensor:
     """Identity in the forward pass; scales the gradient by -lambda_d in the backward pass."""
 
     def backward(g):
-        a._accumulate(-lambda_d * g)
+        a._accumulate(-lambda_d * g, owned=True)
 
     return _make(a.data, (a,), backward)
 
@@ -281,11 +294,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g @ w.data)
+            x._accumulate(g @ w.data, owned=True)
         if w.requires_grad:
-            w._accumulate(g.T @ x.data)
+            w._accumulate(g.T @ x.data, owned=True)
         if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            b._accumulate(g.sum(axis=0), owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     out_data = x.data @ w.data.T
@@ -328,9 +341,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g):
         g_t = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
         if w.requires_grad:
-            w._accumulate((g_t @ cols_t.T).reshape(w.data.shape))
+            w._accumulate((g_t @ cols_t.T).reshape(w.data.shape), owned=True)
         if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
             dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dx = np.zeros_like(x.data)
@@ -338,7 +351,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             for i in range(kh):
                 for j in range(kw):
                     dx_t[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
-            x._accumulate(dx)
+            x._accumulate(dx, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(np.ascontiguousarray(out_data), parents, backward)
@@ -349,7 +362,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
 
     def backward(g):
-        x._accumulate(np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype))
+        dx = np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype)
+        x._accumulate(dx, owned=True)
 
     return _make(x.data.mean(axis=(2, 3)), (x,), backward)
 
@@ -396,14 +410,14 @@ def batch_norm(
 
         def backward(g):
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes))
+                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes))
+                beta._accumulate(g.sum(axis=axes), owned=True)
             if x.requires_grad:
                 dxhat = g * expand(gamma.data)
                 term = dxhat - dxhat.mean(axis=axes, keepdims=True) \
                     - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / m
-                x._accumulate(term * expand(inv_std))
+                x._accumulate(term * expand(inv_std), owned=True)
 
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
@@ -412,11 +426,11 @@ def batch_norm(
 
         def backward(g):
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes))
+                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes))
+                beta._accumulate(g.sum(axis=axes), owned=True)
             if x.requires_grad:
-                x._accumulate(g * expand(gamma.data * inv_std))
+                x._accumulate(g * expand(gamma.data * inv_std), owned=True)
 
     out_data = xhat * expand(gamma.data) + expand(beta.data)
     return _make(out_data, (x, gamma, beta), backward)
@@ -430,7 +444,7 @@ def log_softmax(x: Tensor) -> Tensor:
     probs = np.exp(ls)
 
     def backward(g):
-        x._accumulate(g - probs * g.sum(axis=1, keepdims=True))
+        x._accumulate(g - probs * g.sum(axis=1, keepdims=True), owned=True)
 
     return _make(ls, (x,), backward)
 
@@ -441,7 +455,7 @@ def softmax(x: Tensor) -> Tensor:
     p = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
-        x._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)))
+        x._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)), owned=True)
 
     return _make(p, (x,), backward)
 
@@ -457,7 +471,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def backward(g):
         probs = np.exp(ls)
         probs[np.arange(n), labels] -= 1.0
-        logits._accumulate(g * probs / n)
+        logits._accumulate(g * probs / n, owned=True)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 

@@ -32,7 +32,7 @@ from .errors import DataError, EmptyInputError, NumericError, ParameterError
 from .features import tsd_matrix
 from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
 from .relabel import HeuristicConfig
-from .signal import build_spectrogram_example, design_bandpass, segment_stream
+from .signal import build_spectrogram_example, design_bandpass, segment_stream, window_starts
 from .stats import accuracy, cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
 from .synth import SubjectData, SynthConfig, synth_generate
 from .train import TrainConfig, default_train_config, fit
@@ -134,33 +134,69 @@ def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@dataclass
 class PreparedSession:
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    stream_x: np.ndarray | None  # first evaluation recording, time ordered
-    stream_y: np.ndarray | None  # oracle labels of the stream (audit only)
+    """One session's classifier inputs, in three parts:
+
+    - `train_x`/`train_y`: the windows of every cycle but the last;
+    - `test_x`/`test_y`: the windows of the last (held-out) cycle;
+    - `stream_x`/`stream_y`: the windows of the first evaluation recording,
+      time ordered, with its oracle labels (audit only); both None when the
+      session has no evaluation recording.
+
+    Each part is segmented and featurized on its first read, and at most
+    once, so a caller pays only for the parts it reads. `prepare_session`
+    has checked every part before this object exists. The session's
+    recordings must stay unchanged while a part is unread.
+    """
+
+    def __init__(self, session, input_kind: str):
+        self._session = session
+        self._input_kind = input_kind
+        self._parts: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # part -> (x, y)
+
+    def _recordings(self, part: str) -> list:
+        cycles = self._session.cycles
+        if part == "train":
+            return [cycle[g] for cycle in cycles[:-1] for g in sorted(cycle)]
+        if part == "test":
+            return [cycles[-1][g] for g in sorted(cycles[-1])]
+        return list(self._session.evals[:1])
+
+    def _part(self, part: str) -> tuple[np.ndarray, np.ndarray]:
+        if part not in self._parts:
+            segments = [seg for rec in self._recordings(part) for seg in segment_stream(rec)]
+            self._parts[part] = featurize(segments, self._input_kind)
+        return self._parts[part]
+
+    def _stream(self, i: int) -> np.ndarray | None:
+        return self._part("stream")[i] if self._session.evals else None
+
+    train_x = property(lambda self: self._part("train")[0])
+    train_y = property(lambda self: self._part("train")[1])
+    test_x = property(lambda self: self._part("test")[0])
+    test_y = property(lambda self: self._part("test")[1])
+    stream_x = property(lambda self: self._stream(0))
+    stream_y = property(lambda self: self._stream(1))
 
 
 def prepare_session(session, cfg: HarnessConfig) -> PreparedSession:
+    """A session's train, test and stream parts, featurized on first read.
+
+    A bad session fails here, not at a later read: DataError for fewer than
+    2 cycles, EmptyInputError for an empty train or test part or for a
+    recording shorter than one window.
+    """
     if len(session.cycles) < 2:
         raise DataError(f"session {session.session} needs >= 2 cycles")
-    train_segments = []
-    for cycle in session.cycles[:-1]:
-        for g in sorted(cycle):
-            train_segments.extend(segment_stream(cycle[g]))
-    test_segments = []
-    for g in sorted(session.cycles[-1]):
-        test_segments.extend(segment_stream(session.cycles[-1][g]))
-    train_x, train_y = featurize(train_segments, cfg.input_kind)
-    test_x, test_y = featurize(test_segments, cfg.input_kind)
-    stream_x = stream_y = None
-    if session.evals:
-        stream_segments = segment_stream(session.evals[0])
-        stream_x, stream_y = featurize(stream_segments, cfg.input_kind)
-    return PreparedSession(train_x, train_y, test_x, test_y, stream_x, stream_y)
+    prep = PreparedSession(session, cfg.input_kind)
+    train, test, stream = (prep._recordings(part) for part in ("train", "test", "stream"))
+    for rec in train + test:
+        window_starts(rec)
+    if not train or not test:
+        raise EmptyInputError("no segments to featurize")
+    for rec in stream:
+        window_starts(rec)
+    return prep
 
 
 def fit_new(cfg: HarnessConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Network:

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -36,7 +37,10 @@ CONVNET_INPUT_SHAPE = (4, 10, 24)
 TSD_INPUT_DIM = 385
 TSD_HIDDEN = (200, 200, 200)
 
-_MAGIC = b"SEMGNET1"
+# Container versions: v2 ends in a CRC32 of everything after the magic; v1
+# (no checksum) is still read.
+_MAGIC = b"SEMGNET2"
+_MAGIC_V1 = b"SEMGNET1"
 
 
 class Conv2d:
@@ -307,9 +311,13 @@ _BUILDERS = {
 
 
 def save_network(model: Network, path) -> None:
-    """Versioned binary container: named tensors as little-endian float32."""
+    """Versioned binary container: named tensors as little-endian float32.
+
+    Layout: the magic `SEMGNET2`, the metadata and tensors, then a
+    little-endian CRC32 (`zlib.crc32`) of every byte between the magic and
+    the checksum.
+    """
     buf = io.BytesIO()
-    buf.write(_MAGIC)
     meta = {"kind": model.kind, "num_gestures": model.num_gestures}
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     buf.write(struct.pack("<I", len(meta_bytes)))
@@ -324,29 +332,43 @@ def save_network(model: Network, path) -> None:
         buf.write(struct.pack("<B", raw.ndim))
         buf.write(struct.pack(f"<{raw.ndim}I", *raw.shape))
         buf.write(raw.tobytes())
+    body = buf.getvalue()
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_network(path) -> Network:
-    """Read a `save_network` container; a missing, truncated or corrupt file
-    raises DataError (UsageError when it is not a container at all)."""
+    """Read a `save_network` container.
+
+    A `SEMGNET2` container whose checksum does not match its contents raises
+    DataError. A `SEMGNET1` container, written before the checksum existed,
+    still loads and is checked only for its structure. A missing, truncated
+    or corrupt file raises DataError, and UsageError when it is not a
+    container at all.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read network {path}: {exc}") from exc
-    if blob[: len(_MAGIC)] != _MAGIC:
+    magic = blob[: len(_MAGIC)]
+    if magic not in (_MAGIC, _MAGIC_V1):
         raise UsageError(f"{path}: not a network container")
+    body = blob[len(_MAGIC) :]
+    if magic == _MAGIC:
+        if len(body) < 4 or struct.unpack("<I", body[-4:])[0] != zlib.crc32(body[:-4]):
+            raise DataError(f"{path}: network container fails its checksum")
+        body = body[:-4]
     try:
-        return _parse_network(blob, len(_MAGIC))
+        return _parse_network(body)
     except SemgCalError:
         raise
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: corrupt network container ({exc!r})") from exc
 
 
-def _parse_network(blob: bytes, off: int) -> Network:
+def _parse_network(blob: bytes) -> Network:
+    off = 0
     (meta_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     meta = json.loads(blob[off : off + meta_len])

@@ -90,14 +90,15 @@ def _majority_label(window_labels: np.ndarray) -> int:
     return int(tied[int(np.argmax(last_seen))])
 
 
-def segment_stream(
+def window_starts(
     rec: RawRecording, window_ms: int = WINDOW_MS, overlap_ms: int = OVERLAP_MS
-) -> list[Segment]:
-    """Slice a recording into overlapping windows.
+) -> tuple[int, range]:
+    """Window length in samples and the start index of every window of `rec`.
 
-    With the defaults (150 ms window, 100 ms overlap at 1 kHz) the stride is
-    50 samples and a stream of T samples yields floor((T - 150) / 50) + 1
-    segments ordered by start index.
+    The one windowing rule: windows of `window_ms` advanced every
+    `window_ms - overlap_ms`, at the recording's rate, so a stream of T
+    samples has floor((T - window) / stride) + 1 of them. Raises what
+    `segment_stream` raises before it slices anything.
     """
     if not window_ms > overlap_ms >= 0:
         raise ParameterError(f"need window_ms > overlap_ms >= 0, got {window_ms}, {overlap_ms}")
@@ -108,14 +109,44 @@ def segment_stream(
     t = rec.num_samples
     if t < window:
         raise EmptyInputError(f"stream of {t} samples is shorter than one {window}-sample window")
+    return window, range(0, t - window + 1, stride)
+
+
+def _window_labels(labels: np.ndarray, window: int, starts: range) -> list[int]:
+    """`_majority_label` of every window, in one pass over the label stream.
+
+    A window with no label change inside takes its first label; only the
+    windows that straddle a change are counted out by `_majority_label`.
+    """
+    changes = np.concatenate(([0], np.cumsum(labels[1:] != labels[:-1])))
+    first = np.asarray(starts)
+    out = [int(v) for v in labels[first]]
+    for i in np.flatnonzero(changes[first + window - 1] != changes[first]):
+        start = starts[i]
+        out[i] = _majority_label(labels[start : start + window])
+    return out
+
+
+def segment_stream(
+    rec: RawRecording, window_ms: int = WINDOW_MS, overlap_ms: int = OVERLAP_MS
+) -> list[Segment]:
+    """Slice a recording into overlapping windows.
+
+    With the defaults (150 ms window, 100 ms overlap at 1 kHz) the stride is
+    50 samples and a stream of T samples yields floor((T - 150) / 50) + 1
+    segments ordered by start index (see `window_starts`). A labeled
+    recording gives each segment the majority label of its window.
+    """
+    window, starts = window_starts(rec, window_ms, overlap_ms)
     data = np.asarray(rec.samples, dtype=np.float64)
-    segments = []
-    for start in range(0, t - window + 1, stride):
-        label = None
-        if rec.labels is not None:
-            label = _majority_label(rec.labels[start : start + window])
-        segments.append(Segment(data=data[:, start : start + window], start_index=start, label=label))
-    return segments
+    if rec.labels is None:
+        labels = [None] * len(starts)
+    else:
+        labels = _window_labels(np.asarray(rec.labels), window, starts)
+    return [
+        Segment(data=data[:, start : start + window], start_index=start, label=label)
+        for start, label in zip(starts, labels)
+    ]
 
 
 @lru_cache(maxsize=16)

@@ -21,7 +21,7 @@ from semgcal import (
 from semgcal.adapt import _domain_loss, _np_log_softmax, mv_calibrate
 from semgcal.autodiff import Tensor
 from semgcal.features import lda_fit_arrays, lda_predict
-from semgcal.nn import BatchNorm, Linear, Network
+from semgcal.nn import BatchNorm, Linear, Network, build_spectrogram_convnet, build_tsd_dnn
 from semgcal.train import fit, train_supervised
 
 
@@ -407,3 +407,90 @@ class TestMvCalibrate:
         model = mini_net(seed=0)
         with pytest.raises(DataError):
             mv_calibrate(model, np.zeros((4, 16), np.float32), np.zeros(4, np.int64), [])
+
+
+def _graph_tensors(loss: Tensor) -> list[Tensor]:
+    """Every tensor reachable from `loss` on the tape."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _copying_accumulate(self, g, owned=False):
+    """`Tensor._accumulate` as it was before it took ownership of fresh
+    gradients, kept as an oracle: every first gradient is copied."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+    else:
+        self.grad += g
+
+
+_ARCHITECTURES = {
+    "tsd_dnn": (build_tsd_dnn, (385,)),
+    "spectrogram_convnet": (build_spectrogram_convnet, (4, 10, 24)),
+}
+
+
+def _arch_task(kind, n_per=6, gestures=7, seed=0):
+    """Random inputs of an architecture's shape: labeled source, unlabeled target."""
+    _, shape = _ARCHITECTURES[kind]
+    rng = np.random.default_rng(seed)
+    n = n_per * gestures
+    x_src = rng.standard_normal((n, *shape)).astype(np.float32)
+    y_src = np.repeat(np.arange(gestures), n_per).astype(np.int64)
+    x_tgt = (rng.standard_normal((n, *shape)) + 0.5).astype(np.float32)
+    return x_src, y_src, x_tgt
+
+
+class TestGradientOwnership:
+    """Gradients are fresh arrays taken over without a copy; none may alias."""
+
+    @pytest.mark.parametrize("kind", sorted(_ARCHITECTURES))
+    @pytest.mark.parametrize("algo", ["dann", "vada"])
+    def test_no_gradient_shares_memory(self, monkeypatch, kind, algo):
+        original = Tensor.backward
+        graphs = []
+
+        def checked_backward(self):
+            original(self)
+            nodes = _graph_tensors(self)
+            grads = [t.grad for t in nodes if t.grad is not None]
+            for i, g in enumerate(grads):
+                assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
+                assert not any(np.shares_memory(g, t.data) for t in nodes)
+            graphs.append(len(grads))
+
+        monkeypatch.setattr(Tensor, "backward", checked_backward)
+        build, _ = _ARCHITECTURES[kind]
+        x_src, y_src, x_tgt = _arch_task(kind)
+        cfg = tcfg(seed=1, batch_size=14, max_epochs=1)
+        if algo == "dann":
+            dann_train(build(7, seed=2), x_src, y_src, x_tgt, lambda_d=0.5, cfg=cfg)
+        else:
+            vada_train(build(7, seed=2), x_src, y_src, x_tgt, acfg=AdaptConfig(vat_epsilon=0.5), cfg=cfg)
+        # DANN: one backward per step; VADA adds a VAT probe per domain.
+        assert len(graphs) >= 2 and min(graphs) > 0
+
+    @pytest.mark.parametrize("kind", sorted(_ARCHITECTURES))
+    def test_fit_then_adabn_equals_copying_accumulate(self, monkeypatch, kind):
+        build, _ = _ARCHITECTURES[kind]
+        x_src, y_src, x_tgt = _arch_task(kind, seed=3)
+
+        def run():
+            model = build(7, seed=4)
+            fit(model, x_src, y_src, tcfg(seed=5, batch_size=14, max_epochs=2))
+            vada_train(model, x_src, y_src, x_tgt, acfg=AdaptConfig(vat_epsilon=0.5),
+                       cfg=tcfg(seed=6, batch_size=14, max_epochs=1))
+            return adabn_adapt(model, x_tgt).state_arrays()
+
+        owned = run()
+        monkeypatch.setattr(Tensor, "_accumulate", _copying_accumulate)
+        copied = run()
+        assert sorted(owned) == sorted(copied)
+        for name, arr in owned.items():
+            np.testing.assert_array_equal(arr, copied[name], err_msg=name)

@@ -6,10 +6,12 @@ import filecmp
 import numpy as np
 import pytest
 
-from semgcal import DataError, ParameterError
+import semgcal.experiment as experiment
+from semgcal import DataError, EmptyInputError, ParameterError
 from semgcal.adapt import AdaptConfig
 from semgcal.dataio import canonical_json, config_digest, save_manifest, save_report
 from semgcal.experiment import (
+    ALGORITHMS,
     UNSUPERVISED,
     BenchmarkConfig,
     HarnessConfig,
@@ -23,10 +25,11 @@ from semgcal.experiment import (
     run_benchmark,
     run_calibration_experiment,
     run_experiment,
+    run_subject,
 )
 from semgcal.relabel import HeuristicConfig
-from semgcal.signal import segment_stream
-from semgcal.synth import SynthConfig, synth_generate
+from semgcal.signal import RawRecording, segment_stream
+from semgcal.synth import SessionData, SynthConfig, synth_generate
 from semgcal.train import default_train_config
 
 
@@ -88,6 +91,154 @@ class TestPrepareSession:
         segs = segment_stream(rec)
         _, y = featurize(segs, "tsd")
         assert np.all(y == -1)
+
+
+@dataclasses.dataclass
+class EagerSession:
+    train_x: np.ndarray
+    train_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
+    stream_x: np.ndarray | None
+    stream_y: np.ndarray | None
+
+
+def eager_prepare_session(session, cfg):
+    """`prepare_session` as it was before parts were featurized on first
+    read, kept as an oracle: every part segmented and featurized at once."""
+    if len(session.cycles) < 2:
+        raise DataError(f"session {session.session} needs >= 2 cycles")
+    train_segments = []
+    for cycle in session.cycles[:-1]:
+        for g in sorted(cycle):
+            train_segments.extend(segment_stream(cycle[g]))
+    test_segments = []
+    for g in sorted(session.cycles[-1]):
+        test_segments.extend(segment_stream(session.cycles[-1][g]))
+    train_x, train_y = featurize(train_segments, cfg.input_kind)
+    test_x, test_y = featurize(test_segments, cfg.input_kind)
+    stream_x = stream_y = None
+    if session.evals:
+        stream_x, stream_y = featurize(segment_stream(session.evals[0]), cfg.input_kind)
+    return EagerSession(train_x, train_y, test_x, test_y, stream_x, stream_y)
+
+
+PARTS = {"train": ("train_x", "train_y"), "test": ("test_x", "test_y"), "stream": ("stream_x", "stream_y")}
+
+
+def quick_harness(**kw):
+    """The tiny harness on a short schedule: these tests count work, not accuracy."""
+    kw.setdefault("train", default_train_config(
+        "tsd_dnn", max_epochs=2, batch_size=128, early_stop_patience=5, anneal_patience=3))
+    kw.setdefault("adapt_train", default_train_config(
+        "tsd_dnn", learning_rate=8e-4, max_epochs=1, batch_size=128,
+        early_stop_patience=3, anneal_patience=3))
+    return tiny_harness(**kw)
+
+
+@pytest.fixture(scope="module")
+def three_sessions():
+    return synth_generate(tiny_synth(subjects=1, sessions=3, seed=8))
+
+
+def record_featurized_parts(monkeypatch):
+    """Capture every PreparedSession the harness makes and count featurize calls."""
+    preps, calls = [], []
+    prepare, featurize_ = experiment.prepare_session, experiment.featurize
+
+    def recording_prepare(session, cfg):
+        preps.append(prepare(session, cfg))
+        return preps[-1]
+
+    def counting_featurize(segments, input_kind):
+        calls.append(len(segments))
+        return featurize_(segments, input_kind)
+
+    monkeypatch.setattr(experiment, "prepare_session", recording_prepare)
+    monkeypatch.setattr(experiment, "featurize", counting_featurize)
+
+    def featurized():
+        return {(s, part) for s, prep in enumerate(preps) for part in prep._parts}
+
+    return calls, featurized
+
+
+class TestLazyPreparation:
+    def test_shipped_algorithms_featurize_only_what_they_read(self, three_sessions, monkeypatch):
+        calls, featurized = record_featurized_parts(monkeypatch)
+        run_subject(three_sessions[0], quick_harness(algorithms=HarnessConfig().algorithms), 3)
+        expected = {(0, "train"), (0, "test"), (1, "test"), (1, "stream"), (2, "test"), (2, "stream")}
+        assert featurized() == expected
+        assert len(calls) == len(expected)
+
+    def test_every_algorithm_equals_eager_preparation(self, three_sessions, monkeypatch):
+        cfg = quick_harness(algorithms=ALGORITHMS)
+        calls, featurized = record_featurized_parts(monkeypatch)
+        lazy = run_experiment(three_sessions, cfg, master_seed=4)
+        # recal and recal_scadann read every train part and session 0's stream
+        assert featurized() == {(s, part) for s in range(3) for part in PARTS}
+        assert len(calls) == 3 * len(PARTS)
+        monkeypatch.setattr(experiment, "prepare_session", eager_prepare_session)
+        assert lazy == run_experiment(three_sessions, cfg, master_seed=4)
+
+    @pytest.mark.parametrize("input_kind", ["tsd", "spectrogram"])
+    def test_parts_equal_direct_featurize_and_are_read_once(self, tiny_dataset, monkeypatch, input_kind):
+        session = tiny_dataset[1].sessions[1]
+        cfg = tiny_harness(input_kind=input_kind)
+        oracle = eager_prepare_session(session, cfg)
+        calls, _ = record_featurized_parts(monkeypatch)
+        prep = prepare_session(session, cfg)
+        assert calls == []
+        for attrs in PARTS.values():
+            for attr in attrs:
+                first = getattr(prep, attr)
+                assert getattr(prep, attr) is first
+                np.testing.assert_array_equal(first, getattr(oracle, attr), err_msg=attr)
+                assert first.dtype == getattr(oracle, attr).dtype
+        assert len(calls) == len(PARTS)
+
+    def test_no_eval_recording_leaves_stream_none(self, tiny_dataset, monkeypatch):
+        session = dataclasses.replace(tiny_dataset[0].sessions[0], evals=[])
+        calls, _ = record_featurized_parts(monkeypatch)
+        prep = prepare_session(session, tiny_harness())
+        assert prep.stream_x is None and prep.stream_y is None
+        assert calls == []
+
+
+def _recording(t):
+    return RawRecording(samples=np.zeros((10, t), dtype=np.int16), labels=np.zeros(t, dtype=np.int64))
+
+
+GOOD, SHORT = _recording(400), _recording(149)  # one window is 150 samples
+CYCLE = {0: GOOD, 1: GOOD}
+
+BAD_SESSIONS = {
+    "one-cycle": SessionData(0, 0, [CYCLE], [GOOD]),
+    "no-cycles": SessionData(0, 0, [], [GOOD]),
+    "empty-train": SessionData(0, 0, [{}, CYCLE], [GOOD]),
+    "empty-test": SessionData(0, 0, [CYCLE, {}], [GOOD]),
+    "short-train": SessionData(0, 0, [{0: GOOD, 1: SHORT}, CYCLE], [GOOD]),
+    "short-test": SessionData(0, 0, [CYCLE, {0: SHORT}], [GOOD]),
+    "short-stream": SessionData(0, 0, [CYCLE, CYCLE], [SHORT]),
+    "empty-train-and-short-test": SessionData(0, 0, [{}, {0: SHORT}], [GOOD]),
+    "empty-test-and-short-stream": SessionData(0, 0, [CYCLE, {}], [SHORT]),
+}
+
+
+class TestBadSessions:
+    @pytest.mark.parametrize("name", list(BAD_SESSIONS))
+    def test_prepare_session_raises_what_eager_preparation_raised(self, name):
+        session, cfg = BAD_SESSIONS[name], tiny_harness()
+        with pytest.raises((DataError, EmptyInputError)) as eager:
+            eager_prepare_session(session, cfg)
+        with pytest.raises(type(eager.value)) as lazy:
+            prepare_session(session, cfg)
+        assert str(lazy.value) == str(eager.value)
+
+    def test_later_eval_recordings_are_not_read(self):
+        session = SessionData(0, 0, [CYCLE, CYCLE], [GOOD, SHORT])
+        prep = prepare_session(session, tiny_harness())
+        assert len(prep.stream_x) == len(segment_stream(GOOD))
 
 
 class TestRunExperiment:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -193,11 +194,33 @@ def saved_blob(tmp_path_factory):
     return (d / "model.bin").read_bytes(), d / "damaged.bin"
 
 
+def _seal(body: bytes) -> bytes:
+    """A v2 container around `body`: magic, body, CRC32 of the body."""
+    return b"SEMGNET2" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _as_v1(blob: bytes) -> bytes:
+    """The same network in the v1 layout, which has no checksum."""
+    return b"SEMGNET1" + blob[8:-4]
+
+
 # Most of a container is float data; weight the draws toward the headers.
 _HEADER_BYTES = 512
 
 
+def _flip(blob: bytes, data) -> bytes:
+    bit = data.draw(st.one_of(st.integers(0, 8 * _HEADER_BYTES - 1), st.integers(0, 8 * len(blob) - 1)))
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
 class TestCorruptContainers:
+    def test_layout_is_magic_body_checksum(self, saved_blob):
+        blob, _ = saved_blob
+        assert blob[:8] == b"SEMGNET2"
+        assert blob == _seal(blob[8:-4])
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_truncation_raises_semgcal_error(self, saved_blob, data):
@@ -208,13 +231,34 @@ class TestCorruptContainers:
             load_network(path)
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_bit_flip_loads_or_raises_semgcal_error(self, saved_blob, data):
+    @settings(max_examples=200, deadline=None)
+    def test_any_bit_flip_raises_semgcal_error(self, saved_blob, data):
         blob, path = saved_blob
-        bit = data.draw(st.one_of(st.integers(0, 8 * _HEADER_BYTES - 1), st.integers(0, 8 * len(blob) - 1)))
+        path.write_bytes(_flip(blob, data))
+        with pytest.raises(SemgCalError):
+            load_network(path)
+
+    def test_flipped_data_bit_fails_the_checksum(self, saved_blob):
+        blob, path = saved_blob
         damaged = bytearray(blob)
-        damaged[bit // 8] ^= 1 << (bit % 8)
+        damaged[len(blob) // 2] ^= 0x10
         path.write_bytes(bytes(damaged))
+        with pytest.raises(DataError, match="checksum"):
+            load_network(path)
+
+    def test_v1_container_still_loads(self, saved_blob):
+        blob, path = saved_blob
+        path.write_bytes(_as_v1(blob))
+        loaded = load_network(path)
+        expected = build_tsd_dnn(7, seed=4).state_arrays()
+        for name, arr in loaded.state_arrays().items():
+            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_v1_bit_flip_loads_or_raises_semgcal_error(self, saved_blob, data):
+        blob, path = saved_blob
+        path.write_bytes(_flip(_as_v1(blob), data))
         try:
             assert isinstance(load_network(path), Network)
         except SemgCalError:
@@ -226,7 +270,8 @@ class TestCorruptContainers:
         blob, path = saved_blob
         (meta_len,) = struct.unpack_from("<I", blob, 8)
         meta_bytes = json.dumps(meta).encode()
-        path.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[12 + meta_len:])
+        body = struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[12 + meta_len : -4]
+        path.write_bytes(_seal(body))
         with pytest.raises(SemgCalError):
             load_network(path)
 
@@ -234,6 +279,9 @@ class TestCorruptContainers:
         blob, path = saved_blob
         path.write_bytes(blob + b"\0")
         with pytest.raises(DataError):
+            load_network(path)
+        path.write_bytes(_seal(blob[8:-4] + b"\0"))
+        with pytest.raises(DataError, match="trailing"):
             load_network(path)
 
     def test_missing_file_is_data_error(self, tmp_path):

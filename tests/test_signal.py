@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from semgcal import (
@@ -93,6 +95,51 @@ class TestSegmentStream:
     def test_bad_window_params(self):
         with pytest.raises(ParameterError):
             segment_stream(make_recording(500), window_ms=100, overlap_ms=100)
+
+
+def _frozen_window_labels(labels, window, stride):
+    """The per-window label rule as it was before the one-pass labeling, kept
+    verbatim as an oracle: np.unique per window, a tie to the latest label."""
+    out = []
+    for start in range(0, len(labels) - window + 1, stride):
+        window_labels = labels[start : start + window]
+        values, counts = np.unique(window_labels, return_counts=True)
+        best = counts.max()
+        tied = values[counts == best]
+        if len(tied) == 1:
+            out.append(int(tied[0]))
+            continue
+        last_seen = [np.flatnonzero(window_labels == v)[-1] for v in tied]
+        out.append(int(tied[int(np.argmax(last_seen))]))
+    return out
+
+
+@st.composite
+def _label_streams(draw):
+    """Label runs over a small alphabet (many ties), one-sample runs included,
+    with a window and a stride that may equal it."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), min_size=1, max_size=30))
+    labels = np.concatenate([np.full(n, g, dtype=np.int64) for g, n in runs])
+    window = draw(st.integers(1, min(24, len(labels))))
+    stride = draw(st.one_of(st.just(window), st.integers(1, window)))
+    return labels, window, stride
+
+
+class TestWindowLabels:
+    @given(_label_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_labels_match_the_per_window_rule(self, stream):
+        labels, window, stride = stream
+        rec = make_recording(len(labels), labels=labels)
+        segments = segment_stream(rec, window_ms=window, overlap_ms=window - stride)
+        assert [s.label for s in segments] == _frozen_window_labels(labels, window, stride)
+        assert all(type(s.label) is int for s in segments)
+
+    def test_alternating_one_sample_runs(self):
+        labels = np.tile([4, 1], 75)
+        rec = make_recording(150, labels=labels)
+        (seg,) = segment_stream(rec)
+        assert seg.label == _frozen_window_labels(labels, 150, 50)[0] == 1
 
 
 class TestBandpass:
