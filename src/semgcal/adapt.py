@@ -322,7 +322,7 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Net
     ctx = _Ctx(False, None)
     layers = out.feature_layers
     last_bn = max((pos for pos, layer in enumerate(layers) if isinstance(layer, BatchNorm)), default=-1)
-    acts = [x[lo : lo + batch_size] for lo in range(0, len(x), batch_size)]
+    acts = [out.layer_input(x[lo : lo + batch_size]).data for lo in range(0, len(x), batch_size)]
     with ad.no_grad():
         for pos, layer in enumerate(layers[: last_bn + 1]):
             if isinstance(layer, BatchNorm):
@@ -334,18 +334,18 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Net
 
 
 def _population_stats(batches) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and variance over a list of batches, in float64."""
+    """Per-channel mean and variance over a list of (N, C) or channel-major
+    (C, N, H, W) batches, in float64."""
     total = None
     total_sq = None
     count = 0
     for batch in batches:
         a = batch.astype(np.float64)
-        axes = (0, 2, 3) if a.ndim == 4 else (0,)
-        s = a.sum(axis=axes)
-        sq = (a * a).sum(axis=axes)
+        s = ad._chan_sum(a)
+        sq = ad._chan_sum(a * a)
         total = s if total is None else total + s
         total_sq = sq if total_sq is None else total_sq + sq
-        count += a.size // a.shape[1]
+        count += a.size // s.size
     mean = total / count
     return mean, np.maximum(total_sq / count - mean * mean, 1e-12)
 

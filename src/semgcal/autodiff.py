@@ -269,10 +269,21 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: keep with probability 1-p and scale by 1/(1-p)."""
+    """Inverted dropout: keep with probability 1-p and scale by 1/(1-p).
+
+    A 4-D input is channel-major (C, N, H, W). Its uniforms are drawn in the
+    sample-major shape (N, C, H, W) and read transposed, so every element
+    keeps the draw it has in the sample-major layout.
+    """
     if p <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    shape = a.data.shape
+    if a.data.ndim == 4:
+        kept = (rng.random((shape[1], shape[0], *shape[2:])) >= p).transpose(1, 0, 2, 3)
+    else:
+        kept = rng.random(shape) >= p
+    keep = kept.astype(a.data.dtype, order="C")
+    keep /= 1.0 - p
 
     def backward(g):
         a._accumulate(g * keep, owned=True)
@@ -307,65 +318,102 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return _make(out_data, parents, backward)
 
 
+def _chan_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums: over axis 0 of an (N, C) array, and over every axis
+    but the first of a channel-major (C, N, ...) one.
+
+    Channel-major sums are added in the order numpy uses for the sample-major
+    `(N, C, H, W).sum(axis=(0, 2, 3))`: a pairwise sum over each sample's
+    contiguous H*W positions, then the N partial sums one after another. One
+    reduce over the contiguous (C, N*H*W) rows would pair the samples'
+    values differently and change the bits.
+    """
+    if a.ndim == 2:
+        return np.add.reduce(a, axis=0)
+    c, n = a.shape[:2]
+    per_sample = np.add.reduce(a.reshape(c, n, -1), axis=2)
+    return np.add.reduce(np.ascontiguousarray(per_sample.T), axis=0)
+
+
+def _channel_major(x: Tensor) -> Tensor:
+    """(N, C, H, W) -> the channel-major view (C, N, H, W) the conv stack takes.
+
+    The backward pass hands the input a sample-major copy of the gradient.
+    """
+
+    def backward(g):
+        x._accumulate(g.transpose(1, 0, 2, 3).copy(), owned=True)
+
+    return _make(x.data.transpose(1, 0, 2, 3), (x,), backward)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Valid (no padding), stride-1 2-D convolution via channel-major im2col.
 
-    x: (N, C, H, W); w: (O, C, kh, kw) -> (N, O, H - kh + 1, W - kw + 1).
+    x: (C, N, H, W); w: (O, C, kh, kw) -> (O, N, H - kh + 1, W - kw + 1).
+    Activations stay channel-major through the whole conv stack (Dumoulin &
+    Visin 2016), so neither pass transposes them.
 
     The columns are gathered as `cols_t` of shape (C*kh*kw, N*oh*ow): one
-    slice copy per kernel offset (i, j) from the channel-major view of `x`,
-    each moving contiguous rows of `ow` values, so the forward pass is the
-    single GEMM `w_flat @ cols_t` (Chellapilla et al. 2006). The backward
-    pass reuses `cols_t` for the kernel gradient and scatters the column
-    gradient back with one slab add per kernel offset (col2im, Dumoulin &
-    Visin 2016).
+    slice copy per kernel offset (i, j) straight from `x`, each moving
+    contiguous rows of `ow` values, so the forward pass is the single GEMM
+    `w_flat @ cols_t` whose rows are already the output's channels
+    (Chellapilla et al. 2006). The backward pass reads the output gradient
+    as (O, N*oh*ow), reuses `cols_t` for the kernel gradient and scatters the
+    column gradient back with one slab add per kernel offset (col2im). The
+    bias gradient is a `_chan_sum`.
     """
-    n, c, h, wd = x.data.shape
+    c, n, h, wd = x.data.shape
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ShapeError(f"input has {c} channels but kernel expects {c2}")
     oh, ow = h - kh + 1, wd - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{wd})")
-    x_t = x.data.transpose(1, 0, 2, 3)
     cols_t = np.empty((c, kh, kw, n, oh, ow), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols_t[:, i, j] = x_t[:, :, i : i + oh, j : j + ow]
+            cols_t[:, i, j] = x.data[:, :, i : i + oh, j : j + ow]
     cols_t = cols_t.reshape(c * kh * kw, n * oh * ow)
     w_flat = w.data.reshape(o, -1)
-    out_data = (w_flat @ cols_t).reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    out_data = (w_flat @ cols_t).reshape(o, n, oh, ow)
     if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
+        out_data = out_data + b.data[:, None, None, None]
 
     def backward(g):
-        g_t = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
+        g_t = g.reshape(o, n * oh * ow)
         if w.requires_grad:
             w._accumulate((g_t @ cols_t.T).reshape(w.data.shape), owned=True)
         if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+            b._accumulate(_chan_sum(g), owned=True)
         if x.requires_grad:
             dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dx = np.zeros_like(x.data)
-            dx_t = dx.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
-                    dx_t[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
+                    dx[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
             x._accumulate(dx, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(np.ascontiguousarray(out_data), parents, backward)
+    return _make(out_data, parents, backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(N, C, H, W) -> (N, C) mean over the spatial axes."""
-    n, c, h, w = x.data.shape
+    """Channel-major (C, N, H, W) -> sample-major (N, C) mean over the spatial
+    axes.
+
+    Each mean is the pairwise sum of one (c, n) plane divided by H*W, the
+    arithmetic of `(N, C, H, W).mean(axis=(2, 3))`.
+    """
+    c, n, h, w = x.data.shape
 
     def backward(g):
-        dx = np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype)
-        x._accumulate(dx, owned=True)
+        dx = np.broadcast_to((g.T / (h * w))[:, :, None, None], x.data.shape)
+        x._accumulate(dx.astype(x.data.dtype, order="C"), owned=True)
 
-    return _make(x.data.mean(axis=(2, 3)), (x,), backward)
+    means = np.add.reduce(x.data.reshape(c, n, h * w), axis=2)
+    np.true_divide(means, np.intp(h * w), out=means, casting="unsafe")
+    return _make(np.ascontiguousarray(means.T), (x,), backward)
 
 
 def batch_norm(
@@ -378,28 +426,30 @@ def batch_norm(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Batch normalization over the batch (and spatial) axes.
+    """Batch normalization of (N, C) or channel-major (C, N, H, W) input.
 
     In training mode the batch statistics normalize and the running buffers
     are updated in place with an exponential moving average (population
-    variance). In eval mode the running buffers normalize.
+    variance). In eval mode the running buffers normalize. Every per-channel
+    sum is a `_chan_sum`, so channel-major input gets the bits of the same
+    values laid out (N, C, H, W).
     """
-    is_conv = x.data.ndim == 4
-    axes = (0, 2, 3) if is_conv else (0,)
+    shape = (-1, 1, 1, 1) if x.data.ndim == 4 else (1, -1)
 
     def expand(v):
-        return v[None, :, None, None] if is_conv else v[None, :]
+        return v.reshape(shape)
+
+    m = x.data.size // gamma.data.size
 
     if training:
         # The arithmetic of x.mean() and x.var() (a sum, then true division
         # by the intp count), with the sum taken once and the centred input
         # reused for both the variance and xhat.
-        m = x.data.size // x.data.shape[1]
         count = np.intp(m)
-        mean = np.add.reduce(x.data, axis=axes)
+        mean = _chan_sum(x.data)
         np.true_divide(mean, count, out=mean, casting="unsafe")
         xhat = x.data - expand(mean)
-        var = np.add.reduce(np.square(xhat), axis=axes)
+        var = _chan_sum(np.square(xhat))
         np.true_divide(var, count, out=var, casting="unsafe")
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.astype(running_mean.dtype)
@@ -410,14 +460,24 @@ def batch_norm(
 
         def backward(g):
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
+                gamma._accumulate(_chan_sum(g * xhat), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes), owned=True)
+                beta._accumulate(_chan_sum(g), owned=True)
             if x.requires_grad:
+                # (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / m) * inv_std
+                # (Ioffe & Szegedy 2015), built in place with Python's
+                # left-to-right order: the product xhat * sum is divided by m.
                 dxhat = g * expand(gamma.data)
-                term = dxhat - dxhat.mean(axis=axes, keepdims=True) \
-                    - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / m
-                x._accumulate(term * expand(inv_std), owned=True)
+                proj = dxhat * xhat
+                proj_sum = _chan_sum(proj)
+                dxhat_mean = _chan_sum(dxhat)
+                np.true_divide(dxhat_mean, count, out=dxhat_mean, casting="unsafe")
+                np.multiply(xhat, expand(proj_sum), out=proj)
+                proj /= m
+                dxhat -= expand(dxhat_mean)
+                dxhat -= proj
+                dxhat *= expand(inv_std)
+                x._accumulate(dxhat, owned=True)
 
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
@@ -426,13 +486,14 @@ def batch_norm(
 
         def backward(g):
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
+                gamma._accumulate(_chan_sum(g * xhat), owned=True)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes), owned=True)
+                beta._accumulate(_chan_sum(g), owned=True)
             if x.requires_grad:
                 x._accumulate(g * expand(gamma.data * inv_std), owned=True)
 
-    out_data = xhat * expand(gamma.data) + expand(beta.data)
+    out_data = xhat * expand(gamma.data)
+    out_data += expand(beta.data)
     return _make(out_data, (x, gamma, beta), backward)
 
 

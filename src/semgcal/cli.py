@@ -157,10 +157,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     payload = load_report(Path(args.report) / "report.json" if Path(args.report).is_dir() else args.report)
-    algorithms = payload["algorithms"]
     for s in sorted(payload["accuracy"]):
         table = payload["accuracy"][s]
-        matrix = np.asarray(table["matrix"])
+        matrix = table["matrix"]
         print(f"session {s}:")
         means = matrix.mean(axis=0)
         stds = matrix.std(axis=0)

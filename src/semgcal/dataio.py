@@ -29,6 +29,9 @@ from .synth import SessionData, SubjectData
 
 REPORT_SCHEMA_VERSION = 1
 
+_INT16 = np.iinfo(np.int16)
+_INT64 = np.iinfo(np.int64)
+
 
 def _write_csv(path: Path, rows: np.ndarray) -> None:
     with open(path, "w") as fh:
@@ -38,6 +41,8 @@ def _write_csv(path: Path, rows: np.ndarray) -> None:
 
 
 def _read_int_csv(path: Path, columns: int) -> np.ndarray:
+    """Rows of `columns` integers; the first NUM_CHANNELS columns are int16
+    samples, and a value outside that range is a ParseError, not a wrap."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -53,7 +58,29 @@ def _read_int_csv(path: Path, columns: int) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty recording")
-    return np.asarray(rows, dtype=np.int64)
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+        samples = data[:, :NUM_CHANNELS]
+        in_range = samples.min() >= _INT16.min and samples.max() <= _INT16.max
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ParseError(_first_out_of_range(path))
+    return data
+
+
+def _first_out_of_range(path: Path) -> str:
+    """Where the first value outside its column's range is in a file that
+    parsed: int16 for the samples, int64 for the columns after them. The
+    file is read again, so that the parse keeps no line numbers."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            for k, part in enumerate(line.split(",") if line.strip() else ()):
+                v = int(part)
+                limits = _INT16 if k < NUM_CHANNELS else _INT64
+                if not limits.min <= v <= limits.max:
+                    return f"{path}:{lineno}: {v} outside [{limits.min}, {limits.max}]"
+    return f"{path}: a value outside its column's range"
 
 
 def save_dataset(subjects: list[SubjectData], root) -> None:
@@ -108,25 +135,16 @@ def load_session(root, subject: int, session: int) -> SessionData:
 
 
 def load_subject(root, subject: int) -> SubjectData:
+    """Every `session_<k>` directory of one subject, in session order; other
+    entries are ignored."""
     base = Path(root) / f"subject_{subject}"
     if not base.is_dir():
         raise DataError(f"missing subject directory {base}")
-    session_ids = sorted(
-        int(p.name.split("_", 1)[1]) for p in base.iterdir() if p.name.startswith("session_")
-    )
+    session_re = re.compile(r"session_(\d+)$")
+    session_ids = sorted(int(m.group(1)) for p in base.iterdir() if (m := session_re.match(p.name)))
     if not session_ids:
         raise DataError(f"{base}: no sessions found")
     return SubjectData(subject=subject, sessions=[load_session(root, subject, s) for s in session_ids])
-
-
-def list_subjects(root) -> list[int]:
-    base = Path(root)
-    ids = sorted(
-        int(p.name.split("_", 1)[1]) for p in base.iterdir() if p.name.startswith("subject_")
-    )
-    if not ids:
-        raise DataError(f"{base}: no subjects found")
-    return ids
 
 
 def _jsonable(obj):
@@ -176,6 +194,12 @@ def save_report(report_dict: dict, out_dir, accuracy_tables: dict | None = None)
 
 
 def load_report(path) -> dict:
+    """Read a report.json written by `save_report`, with each accuracy table's
+    'matrix' returned as a float64 array.
+
+    An unreadable file, another schema version, or a structure `semgcal
+    report` cannot print raises DataError.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -185,7 +209,57 @@ def load_report(path) -> dict:
         raise DataError(f"{path}: a report must be a JSON object")
     if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise DataError(f"unsupported report schema {payload.get('schema_version')}")
+    problem = _convert_tables(payload)
+    if problem is not None:
+        raise DataError(f"{path}: {problem}")
     return payload
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _convert_tables(payload: dict) -> str | None:
+    """Turn each accuracy matrix into a float64 array after checking what
+    `semgcal report` prints of the tables and statistics; returns the first
+    problem, or None."""
+    tables = payload.get("accuracy")
+    stats = payload.get("stats", {})
+    if not isinstance(tables, dict) or not isinstance(stats, dict):
+        return "'accuracy' and 'stats' must be objects keyed by session"
+    for s, table in tables.items():
+        algorithms = table.get("algorithms") if isinstance(table, dict) else None
+        if not isinstance(algorithms, list) or not all(isinstance(a, str) for a in algorithms):
+            return f"accuracy table {s} needs an 'algorithms' list of names"
+        rows = table.get("matrix")
+        try:
+            if not (isinstance(rows, list) and rows and all(
+                    isinstance(r, list) and len(r) == len(algorithms) and all(map(_is_number, r))
+                    for r in rows)):
+                raise ValueError
+            matrix = np.asarray(rows, dtype=np.float64)
+        except (ValueError, OverflowError):
+            return f"accuracy table {s} needs a 2-D numeric 'matrix' with a column per algorithm"
+        st = stats.get(s)
+        if st is not None and not _stats_printable(st, algorithms):
+            return f"statistics of session {s} are malformed"
+        table["matrix"] = matrix
+    return None
+
+
+def _stats_printable(st, algorithms) -> bool:
+    try:
+        ranks, holm, dz = st["friedman"]["avg_ranks"], st["holm"], st["cohens_dz"]
+        if not all(isinstance(d, dict) for d in (ranks, holm, dz)):
+            return False
+        return all(
+            (ranks.get(a) is None or _is_number(ranks[a]))
+            and (holm.get(a) is None or ("reject" in holm[a] and _is_number(holm[a]["p_adjusted"])))
+            and (dz.get(a) is None or _is_number(dz[a]))
+            for a in algorithms
+        )
+    except (KeyError, TypeError):
+        return False
 
 
 def save_manifest(out_dir, seed: int, cfg) -> Path:

@@ -196,13 +196,17 @@ class Network:
         return copy.deepcopy(self)
 
     # -- forward ------------------------------------------------------------
-    def _check_input(self, x: np.ndarray):
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(f"expected input shape (N, {self.input_shape}), got {x.shape}")
+    def layer_input(self, x) -> Tensor:
+        """`x` checked against the input shape and laid out for the first
+        feature layer: image batches (N, C, H, W) become the channel-major
+        (C, N, H, W) the conv stack keeps up to its global average pool."""
+        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+        if tuple(t.data.shape[1:]) != self.input_shape:
+            raise ShapeError(f"expected input shape (N, {self.input_shape}), got {t.data.shape}")
+        return ad._channel_major(t) if t.data.ndim == 4 else t
 
     def features(self, x, rng=None) -> Tensor:
-        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-        self._check_input(t.data)
+        t = self.layer_input(x)
         ctx = _Ctx(self.training, rng)
         for layer in self.feature_layers:
             t = layer(t, ctx)

@@ -10,6 +10,7 @@ import pytest
 from semgcal import UsageError
 from semgcal.autodiff import (
     Tensor,
+    _channel_major,
     batch_norm,
     concat,
     conv2d,
@@ -103,7 +104,7 @@ class TestOpGradients:
 
     def test_conv2d(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 6, 7))
+        x = rng.standard_normal((2, 3, 6, 7)).transpose(1, 0, 2, 3).copy()  # channel-major
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
 
@@ -117,7 +118,7 @@ class TestOpGradients:
     @pytest.mark.parametrize("kernel", [(2, 3), (1, 1)], ids=["2x3", "1x1"])
     def test_conv2d_non_square_and_pointwise_kernels(self, kernel):
         rng = np.random.default_rng(30)
-        x = rng.standard_normal((2, 3, 5, 6))
+        x = rng.standard_normal((2, 3, 5, 6)).transpose(1, 0, 2, 3).copy()  # channel-major
         w = rng.standard_normal((4, 3, *kernel))
         b = rng.standard_normal(4)
 
@@ -143,7 +144,7 @@ class TestOpGradients:
 
     def test_batch_norm_train_mode_conv(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 4, 5, 2))
+        x = rng.standard_normal((3, 4, 5, 2)).transpose(1, 0, 2, 3).copy()  # channel-major
         gamma = rng.uniform(0.5, 1.5, 4)
         beta = rng.standard_normal(4)
 
@@ -153,6 +154,19 @@ class TestOpGradients:
             return mean_all(mul(out, out))
 
         assert check_gradients(loss_fn, [x, gamma, beta]) > 0
+
+    def test_channel_major_input_gradient(self):
+        # The sample-major input of a conv stack, through its one transpose.
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((4, 3, 2, 2))
+
+        def loss_fn(arrays, tensors):
+            tx, tw = _wrap(arrays, tensors)
+            out = conv2d(_channel_major(tx), tw)
+            return mean_all(mul(out, out))
+
+        assert check_gradients(loss_fn, [x, w]) > 0
 
     def test_batch_norm_eval_mode(self):
         rng = np.random.default_rng(6)

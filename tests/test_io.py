@@ -17,7 +17,7 @@ from semgcal.dataio import (
     save_manifest,
     save_report,
 )
-from semgcal.errors import DataError, SemgCalError
+from semgcal.errors import DataError, ParseError, SemgCalError
 from semgcal.nn import load_network
 from semgcal.signal import segment_stream
 
@@ -132,6 +132,32 @@ class TestDatasetRoundTrip:
             load_session(tmp_path, 0, 0)
         assert ":1" in str(err.value)
 
+    @pytest.mark.parametrize("value", [40000, -40000, 2**70], ids=["above", "below", "past-int64"])
+    def test_sample_outside_int16_is_parse_error_with_location(self, tmp_path, value):
+        d = tmp_path / "subject_0" / "session_0"
+        d.mkdir(parents=True)
+        (d / "train_cycle0_gesture0.csv").write_text("1,2,3,4,5,6,7,8,9,10\n\n" + f"1,2,3,{value},5,6,7,8,9,10\n")
+        with pytest.raises(ParseError) as err:
+            load_session(tmp_path, 0, 0)
+        assert f"train_cycle0_gesture0.csv:3: {value} outside" in str(err.value)
+
+    def test_int16_extremes_load_exactly(self, tmp_path):
+        d = tmp_path / "subject_0" / "session_0"
+        d.mkdir(parents=True)
+        (d / "train_cycle0_gesture0.csv").write_text("32767,-32768,-32767,0,0,0,0,0,0,0\n" * 3)
+        (d / "eval_0.csv").write_text("-32768,32767,0,0,0,0,0,0,0,0,2\n" * 3)
+        loaded = load_session(tmp_path, 0, 0)
+        assert loaded.cycles[0][0].samples[:3, 0].tolist() == [32767, -32768, -32767]
+        assert loaded.evals[0].samples[:2, 0].tolist() == [-32768, 32767]
+        assert loaded.evals[0].labels.tolist() == [2, 2, 2]
+
+    def test_load_subject_ignores_stray_session_entries(self, tmp_path):
+        save_dataset(synth_generate(small_cfg()), tmp_path)
+        (tmp_path / "subject_0" / "session_x").mkdir()
+        (tmp_path / "subject_0" / "session_1.bak").mkdir()
+        sub = load_subject(tmp_path, 0)
+        assert [s.session for s in sub.sessions] == [0, 1]
+
     def test_missing_session_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_session(tmp_path, 3, 0)
@@ -148,7 +174,8 @@ class TestReports:
         path = save_report(report, tmp_path, accuracy_tables=report["accuracy"])
         loaded = load_report(path)
         assert loaded["schema_version"] == 1
-        assert loaded["accuracy"]["0"]["matrix"] == [[0.5]]
+        matrix = loaded["accuracy"]["0"]["matrix"]
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[0.5]]
         assert (tmp_path / "accuracy_0.csv").exists()
 
     def test_manifest_contains_seed_and_digest(self, tmp_path):
@@ -301,6 +328,39 @@ class TestCli:
         if content is not None:
             path.write_text(content)
         assert main(["report", "--report", str(path)]) == 1
+
+    @pytest.mark.parametrize("table", [
+        {"matrix": [[0.5, 0.6]]},
+        {"algorithms": ["nocal", "dann"], "matrix": 0.5},
+        {"algorithms": ["nocal", "dann"], "matrix": [0.5, 0.6]},
+        {"algorithms": ["nocal", "dann"], "matrix": [[0.5]]},
+        {"algorithms": ["nocal", "dann"], "matrix": [[0.5, "x"]]},
+        {"algorithms": ["nocal", "dann"], "matrix": [["0.5", 0.6]]},
+        {"algorithms": ["nocal", "dann"], "matrix": [[None, 0.6]]},
+        {"algorithms": ["nocal", "dann"], "matrix": [[0.5, 0.6], [0.4]]},
+        {"algorithms": ["nocal", "dann"], "matrix": []},
+        {"algorithms": ["nocal", "dann"], "matrix": [[10 ** 400, 0.6]]},
+        "not a table",
+    ], ids=["no-algorithms", "matrix-0d", "matrix-1d", "column-count", "non-numeric", "string-number",
+            "null-cell", "ragged", "no-rows", "overflow", "not-an-object"])
+    def test_report_with_malformed_table_exits_1(self, tmp_path, capsys, table):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema_version": 1, "accuracy": {"1": table}}))
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("stats", [
+        {"1": {"holm": {}, "cohens_dz": {}}},
+        {"1": {"friedman": {"avg_ranks": {"dann": "high"}}, "holm": {}, "cohens_dz": {}}},
+        {"1": {"friedman": {"avg_ranks": {}}, "holm": {"dann": {"reject": True}}, "cohens_dz": {}}},
+        [],
+    ], ids=["no-friedman", "non-numeric-rank", "holm-without-p", "not-an-object"])
+    def test_report_with_malformed_stats_exits_1(self, tmp_path, capsys, stats):
+        path = tmp_path / "report.json"
+        table = {"algorithms": ["nocal", "dann"], "matrix": [[0.5, 0.6], [0.4, 0.7]]}
+        path.write_text(json.dumps({"schema_version": 1, "accuracy": {"1": table}, "stats": stats}))
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
