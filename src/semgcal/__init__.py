@@ -28,15 +28,7 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .features import (
-    FeatureExample,
-    LdaModel,
-    lda_fit,
-    lda_predict,
-    td_features,
-    tsd_descriptor,
-    tsd_features,
-)
+from .features import tsd_descriptor
 from .nn import (
     Network,
     build_spectrogram_convnet,
@@ -80,9 +72,7 @@ __all__ = [
     "AdaptConfig",
     "DataError",
     "EmptyInputError",
-    "FeatureExample",
     "HeuristicConfig",
-    "LdaModel",
     "Network",
     "NumericError",
     "ParameterError",
@@ -116,8 +106,6 @@ __all__ = [
     "generate_pseudo_labels",
     "hann_window",
     "holm_posthoc",
-    "lda_fit",
-    "lda_predict",
     "load_network",
     "mv_calibrate",
     "mv_relabel",
@@ -127,10 +115,8 @@ __all__ = [
     "segment_stream",
     "spectrogram_channel",
     "synth_generate",
-    "td_features",
     "train_supervised",
     "tsd_descriptor",
-    "tsd_features",
     "vada_train",
     "vat_loss",
     "wilcoxon_signed_rank",

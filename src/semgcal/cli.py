@@ -20,7 +20,6 @@ from .dataio import load_report, load_session, save_dataset, save_manifest
 from .errors import DataError, SemgCalError
 from .experiment import (
     BenchmarkConfig,
-    HarnessConfig,
     adapt_model,
     benchmark_report,
     fit_new,
@@ -38,13 +37,20 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=Path, required=True)
 
 
-def _harness_from_args(args) -> HarnessConfig:
-    kind = "tsd_dnn" if args.input_kind == "tsd" else "spectrogram_convnet"
-    return HarnessConfig(
-        input_kind=args.input_kind,
-        gestures=args.gestures,
-        train=default_train_config(kind, seed=args.seed),
-    )
+def _harness_flags(args) -> dict:
+    """`HarnessConfig` overrides for the `--gestures` and `--input-kind` flags given.
+
+    Every subcommand applies them to the benchmark's harness, so `preprocess`,
+    `train` and `adapt` run the schedule `evaluate` runs.
+    """
+    flags = {}
+    if args.gestures is not None:
+        flags.update(gestures=args.gestures, heuristic=None)
+    if args.input_kind is not None:
+        kind = "tsd_dnn" if args.input_kind == "tsd" else "spectrogram_convnet"
+        flags.update(input_kind=args.input_kind,
+                     train={"learning_rate": default_train_config(kind).learning_rate})
+    return flags
 
 
 def _load_config_overrides(path: Path | None) -> dict:
@@ -81,7 +87,7 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     session = load_session(args.data, args.subject, args.session)
-    cfg = _harness_from_args(args)
+    cfg = from_overrides(BenchmarkConfig().harness, _harness_flags(args))
     prep = prepare_session(session, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / f"subject{args.subject}_session{args.session}_{args.input_kind}.npz"
@@ -99,7 +105,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _harness_from_args(args)
+    cfg = from_overrides(BenchmarkConfig().harness, _harness_flags(args))
     session = load_session(args.data, args.subject, args.session)
     prep = prepare_session(session, cfg)
     model = fit_new(cfg, prep.train_x, prep.train_y, args.seed)
@@ -113,7 +119,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    cfg = _harness_from_args(args)
+    cfg = from_overrides(BenchmarkConfig().harness, _harness_flags(args))
     model = load_network(args.model)
     if model.num_gestures != cfg.gestures:
         raise DataError(f"{args.model} has {model.num_gestures} gesture outputs, "
@@ -134,15 +140,8 @@ def cmd_adapt(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = from_overrides(BenchmarkConfig(seed=args.seed), _load_config_overrides(args.config))
     # The flags win over the file: they are applied second.
-    flags = {"synth": {}, "harness": {}}
-    if args.gestures is not None:
-        flags["synth"]["gestures"] = args.gestures
-        flags["harness"].update(gestures=args.gestures, heuristic=None)
-    if args.input_kind is not None:
-        kind = "tsd_dnn" if args.input_kind == "tsd" else "spectrogram_convnet"
-        flags["harness"].update(input_kind=args.input_kind,
-                                train={"learning_rate": default_train_config(kind).learning_rate})
-    cfg = from_overrides(cfg, flags)
+    synth = {} if args.gestures is None else {"gestures": args.gestures}
+    cfg = from_overrides(cfg, {"synth": synth, "harness": _harness_flags(args)})
     report = benchmark_report(cfg, args.out)
     best = {}
     for s, table in report["accuracy"].items():

@@ -32,19 +32,15 @@ from .errors import DataError, EmptyInputError, NumericError, ParameterError
 from .features import tsd_matrix
 from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
 from .relabel import HeuristicConfig
-from .signal import build_spectrogram_example, design_bandpass, segment_stream, window_starts
+from .signal import build_spectrogram_example  # noqa: F401 -- benchmarks/tracing.py wraps it in this module
+from .signal import design_bandpass, segment_stream, spectrograms, window_starts
 from .stats import accuracy, cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
 from .synth import SubjectData, SynthConfig, synth_generate
 from .train import TrainConfig, default_train_config, fit
 
 ALGORITHMS = ("nocal", "recal", "dann", "vada", "dirtt", "adabn", "mv", "scadann", "recal_scadann")
 UNSUPERVISED = ("dann", "vada", "dirtt", "adabn", "mv", "scadann")
-
-SETTING_TO_ALGORITHM = {
-    "NoCal": "nocal",
-    "Recal": "recal",
-    "RecalSCADANN": "recal_scadann",
-}
+INPUT_KINDS = ("tsd", "spectrogram")
 
 
 @dataclass
@@ -59,7 +55,7 @@ class HarnessConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.input_kind not in ("tsd", "spectrogram"):
+        if self.input_kind not in INPUT_KINDS:
             raise ParameterError(f"unknown input kind {self.input_kind!r}")
         if self.gestures not in (7, 11):
             raise ParameterError(f"gestures must be 7 or 11, got {self.gestures}")
@@ -117,19 +113,16 @@ def _filter_stack(segments) -> np.ndarray:
 
 
 def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Segments -> (X, y) under the requested input kind; unlabeled y = -1."""
+    """Segments -> (X, y) under the input kind "tsd" or "spectrogram"; unlabeled y = -1."""
+    if input_kind not in INPUT_KINDS:
+        raise ParameterError(f"unknown input kind {input_kind!r}")
     if len(segments) == 0:
         raise EmptyInputError("no segments to featurize")
     filtered = _filter_stack(segments)
     if input_kind == "tsd":
         x = tsd_matrix(filtered).astype(np.float32)
     else:
-        x = np.stack(
-            [
-                build_spectrogram_example(dataclasses.replace(seg, data=f)).tensor
-                for seg, f in zip(segments, filtered)
-            ]
-        )
+        x = spectrograms(filtered)
     y = np.array([-1 if s.label is None else s.label for s in segments], dtype=np.int64)
     return x, y
 
@@ -316,32 +309,6 @@ def run_experiment(dataset: list[SubjectData], cfg: HarnessConfig, master_seed: 
     else:
         results = [run_subject(sd, cfg, master_seed) for sd in dataset]
     return sorted(results, key=lambda r: r.subject)
-
-
-def run_calibration_experiment(dataset: list[SubjectData], algorithm: str, setting: str,
-                               cfg: HarnessConfig, master_seed: int = 0) -> dict[int, np.ndarray]:
-    """Accuracy column for one algorithm under one calibration setting.
-
-    Settings: NoCal (train session 0, test everywhere), Recal (retrain with
-    each session's labels), Unsup (adapt with the session's unlabeled data
-    using `algorithm`), RecalSCADANN (SCADANN on top of the recalibrated
-    model). Returns {session: per-subject accuracies}.
-    """
-    if setting == "Unsup":
-        if algorithm not in UNSUPERVISED:
-            raise ParameterError(f"{algorithm!r} is not an unsupervised algorithm")
-        algo = algorithm
-    elif setting in SETTING_TO_ALGORITHM:
-        algo = SETTING_TO_ALGORITHM[setting]
-    else:
-        raise ParameterError(f"unknown setting {setting!r}")
-    run_cfg = dataclasses.replace(cfg, algorithms=(algo,))
-    results = run_experiment(dataset, run_cfg, master_seed)
-    n_sessions = len(results[0].accuracies[algo])
-    return {
-        s: np.array([r.accuracies[algo][s] for r in results], dtype=np.float64)
-        for s in range(n_sessions)
-    }
 
 
 # -- benchmark ----------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Handcrafted feature extraction (TD and TSD sets) and an LDA baseline.
+"""Temporal-spatial descriptor (TSD) features.
 
-TD is the classic four-feature time-domain set computed per channel. TSD
-combines seven moment/energy descriptors of each channel signal (and of each
-pairwise channel difference) with the descriptors of its cepstral
+TSD combines seven moment/energy descriptors of each channel signal (and of
+each pairwise channel difference) with the descriptors of its cepstral
 representation through a normalized similarity, yielding 385 values for ten
 channels.
 """
@@ -11,48 +10,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
-from .signal import NUM_CHANNELS, Segment
+from .errors import ShapeError
+from .signal import NUM_CHANNELS
 
 TSD_EPS = 1e-8
-TD_LENGTH = 4 * NUM_CHANNELS  # 40
 _SIGNALS = NUM_CHANNELS + NUM_CHANNELS * (NUM_CHANNELS - 1) // 2  # channels and pair differences, 55
 TSD_LENGTH = 7 * _SIGNALS  # 385
-
-
-@dataclass(frozen=True)
-class FeatureExample:
-    values: np.ndarray
-    label: int | None = None
-    kind: str = "TSD"  # "TD" or "TSD"
-
-    def __post_init__(self):
-        expected = {"TD": TD_LENGTH, "TSD": TSD_LENGTH}.get(self.kind)
-        if expected is None:
-            raise ShapeError(f"unknown feature kind {self.kind!r}")
-        if self.values.shape != (expected,):
-            raise ShapeError(f"{self.kind} vector must have length {expected}, got {self.values.shape}")
-
-
-def td_features(seg: Segment, zc_threshold: float = 0.0, ssc_threshold: float = 0.0) -> FeatureExample:
-    """Mean Absolute Value, Zero Crossings, Slope Sign Changes and Waveform Length.
-
-    Computed per channel and concatenated channel-major:
-    (MAV_0, ZC_0, SSC_0, WL_0, MAV_1, ...).
-    """
-    x = np.asarray(seg.data, dtype=np.float64)
-    mav = np.mean(np.abs(x), axis=1)
-    wl = np.sum(np.abs(np.diff(x, axis=1)), axis=1)
-    zc = np.sum(
-        (x[:, :-1] * x[:, 1:] < 0) & (np.abs(x[:, :-1] - x[:, 1:]) > zc_threshold), axis=1
-    )
-    ssc = np.sum((x[:, 1:-1] - x[:, :-2]) * (x[:, 1:-1] - x[:, 2:]) > ssc_threshold, axis=1)
-    stacked = np.stack([mav, zc, ssc, wl], axis=1).reshape(-1)
-    return FeatureExample(values=stacked.astype(np.float64), label=seg.label, kind="TD")
 
 
 def _descriptors(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -143,21 +109,6 @@ def _similarity_combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a * a + b * b + TSD_EPS)
 
 
-def tsd_features(seg: Segment) -> FeatureExample:
-    """TSD vector of a 10-channel segment: 7 x (10 channels + 45 channel pairs).
-
-    Each block combines the descriptors of a signal (a channel, or the
-    difference of a channel pair) with the descriptors of its cepstral
-    representation. Blocks whose source signal is identically zero carry no
-    information and are emitted as zeros.
-    """
-    x = np.asarray(seg.data, dtype=np.float64)
-    if x.shape[0] != NUM_CHANNELS:
-        raise ShapeError(f"expected {NUM_CHANNELS} channels, got {x.shape[0]}")
-    values = tsd_matrix(x[None, :, :])[0]
-    return FeatureExample(values=values, label=seg.label, kind="TSD")
-
-
 # Segments per descriptor pass: 880 signals, about 1 MB per 150-sample temporary.
 _CHUNK = 16
 
@@ -198,6 +149,12 @@ def _usable_cpus() -> int:
 def tsd_matrix(batch: np.ndarray) -> np.ndarray:
     """Vectorized TSD extraction for a batch of segments (N, NUM_CHANNELS, samples).
 
+    Each row is 7 x (10 channels + 45 channel pairs) values: every block
+    combines the descriptors of a signal (a channel, or the difference of a
+    channel pair) with the descriptors of its cepstral representation. Blocks
+    whose source signal is identically zero carry no information and are
+    emitted as zeros.
+
     Rows are independent: the result is bit-identical for any batch split and
     thread count. A batch longer than one 16-segment pass is cut into
     contiguous row ranges, one per usable CPU; the calling thread computes the
@@ -225,74 +182,3 @@ def tsd_matrix(batch: np.ndarray) -> np.ndarray:
         for done in helpers:
             done.result()
     return out
-
-
-@dataclass(frozen=True)
-class LdaModel:
-    """Pooled-covariance linear discriminant classifier."""
-
-    class_ids: np.ndarray  # (k,) sorted
-    means: np.ndarray  # (k, d)
-    cov_inv: np.ndarray  # (d, d)
-    log_priors: np.ndarray  # (k,)
-
-
-def lda_fit(examples: list[FeatureExample]) -> LdaModel:
-    """Fit an LDA with ridge-regularized pooled covariance.
-
-    The ridge is lam * I with lam = 1e-6 * trace / dim; a fully degenerate
-    (zero-trace) covariance falls back to lam = 1e-6 so prediction reduces to
-    the nearest class mean.
-    """
-    if not examples:
-        raise DataError("no training examples")
-    X = np.stack([np.asarray(e.values, dtype=np.float64) for e in examples])
-    y = np.array([e.label for e in examples])
-    if any(label is None for label in y):
-        raise DataError("all examples must be labeled")
-    return lda_fit_arrays(X, y.astype(np.int64))
-
-
-def lda_fit_arrays(X: np.ndarray, y: np.ndarray) -> LdaModel:
-    class_ids = np.unique(y)
-    if len(class_ids) < 2:
-        raise DataError(f"need >= 2 classes, got {len(class_ids)}")
-    n, d = X.shape
-    means = np.zeros((len(class_ids), d))
-    scatter = np.zeros((d, d))
-    priors = np.zeros(len(class_ids))
-    for idx, cid in enumerate(class_ids):
-        xc = X[y == cid]
-        if len(xc) < 2:
-            raise DataError(f"class {cid} has {len(xc)} examples, need >= 2")
-        means[idx] = xc.mean(axis=0)
-        centered = xc - means[idx]
-        scatter += centered.T @ centered
-        priors[idx] = len(xc) / n
-    cov = scatter / (n - len(class_ids))
-    trace = np.trace(cov)
-    lam = 1e-6 * (trace / d) if trace > 0 else 1e-6
-    cov = cov + lam * np.eye(d)
-    try:
-        np.linalg.cholesky(cov)
-        cov_inv = np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("pooled covariance singular after regularization") from exc
-    return LdaModel(class_ids=class_ids, means=means, cov_inv=cov_inv, log_priors=np.log(priors))
-
-
-def lda_discriminants(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """Linear discriminant scores for one feature vector or a batch."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    proj = model.cov_inv @ model.means.T  # (d, k)
-    scores = x @ proj - 0.5 * np.sum(model.means * proj.T, axis=1) + model.log_priors
-    return scores
-
-
-def lda_predict(model: LdaModel, x: np.ndarray) -> np.ndarray | int:
-    """Predicted class id(s); a 1-D input yields a scalar."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    scores = lda_discriminants(model, x)
-    picked = model.class_ids[np.argmax(scores, axis=1)]
-    return int(picked[0]) if single else picked

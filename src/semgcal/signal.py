@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .errors import EmptyInputError, ParameterError, ShapeError
@@ -197,6 +198,22 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
+def _frame_spectra(x: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Magnitude spectra of the Hann-windowed frames of the last axis of `x`.
+
+    Frames of `win` samples start at multiples of `hop`, so a last axis of T
+    samples gives (T - win) // hop + 1 of them; the result has shape
+    (..., frames, win // 2 + 1).
+    """
+    if hop < 1:
+        raise ParameterError(f"hop must be >= 1, got {hop}")
+    if x.shape[-1] < win:
+        raise ShapeError(f"signal of {x.shape[-1]} samples shorter than window {win}")
+    w = hann_window(win)
+    frames = sliding_window_view(x, win, axis=-1)[..., ::hop, :]
+    return np.abs(np.fft.rfft(frames * w, axis=-1))
+
+
 def spectrogram_channel(
     channel_signal: np.ndarray, win: int = SPEC_WIN, hop: int = SPEC_HOP
 ) -> np.ndarray:
@@ -209,29 +226,24 @@ def spectrogram_channel(
     x = np.asarray(channel_signal, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected 1-D channel signal, got shape {x.shape}")
-    if len(x) < win:
-        raise ShapeError(f"signal of {len(x)} samples shorter than window {win}")
-    n_frames = (len(x) - win) // hop + 1
-    w = hann_window(win)
-    frames = np.stack([x[i * hop : i * hop + win] for i in range(n_frames)])
-    return np.abs(np.fft.rfft(frames * w, axis=-1))
+    return _frame_spectra(x, win, hop)
+
+
+def spectrograms(windows: np.ndarray) -> np.ndarray:
+    """ConvNet inputs of a batch of windows (N, channels, samples), in one pass.
+
+    Per-channel spectrograms with the DC bin dropped, as float32 with axes
+    (N, time, channel, freq): (N, 4, 10, 24) for 150-sample windows. Removing
+    bin 0 discards baseline drift and motion artifacts; the remaining 24 bins
+    cover roughly 21-500 Hz at the 48-point window.
+    """
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"expected a batch (N, channels, samples), got shape {x.shape}")
+    mags = _frame_spectra(x, SPEC_WIN, SPEC_HOP)[..., 1:]  # (N, channels, frames, 24)
+    return np.ascontiguousarray(np.swapaxes(mags, 1, 2), dtype=np.float32)
 
 
 def build_spectrogram_example(seg: Segment) -> SpectrogramExample:
-    """Per-channel spectrograms with the DC bin dropped, axes (time, channel, freq).
-
-    Removing bin 0 discards baseline drift and motion artifacts; the remaining
-    24 bins cover roughly 21-500 Hz at the 48-point window.
-    """
-    if seg.data.shape[1] < SPEC_WIN:
-        raise ShapeError(f"segment of {seg.data.shape[1]} samples shorter than {SPEC_WIN}")
-    x = np.asarray(seg.data, dtype=np.float64)
-    n_frames = (x.shape[1] - SPEC_WIN) // SPEC_HOP + 1
-    w = hann_window(SPEC_WIN)
-    # (channels, frames, win) -> rfft -> drop bin 0 -> (frames, channels, 24)
-    frames = np.stack(
-        [x[:, i * SPEC_HOP : i * SPEC_HOP + SPEC_WIN] for i in range(n_frames)], axis=1
-    )
-    mags = np.abs(np.fft.rfft(frames * w, axis=-1))[:, :, 1:]
-    tensor = np.ascontiguousarray(np.swapaxes(mags, 0, 1), dtype=np.float32)
-    return SpectrogramExample(tensor=tensor, label=seg.label)
+    """`spectrograms` of one segment: a (4, 10, 24) (time, channel, freq) tensor."""
+    return SpectrogramExample(tensor=spectrograms(seg.data[None])[0], label=seg.label)

@@ -23,7 +23,6 @@ from semgcal.experiment import (
     from_overrides,
     prepare_session,
     run_benchmark,
-    run_calibration_experiment,
     run_experiment,
     run_subject,
 )
@@ -377,40 +376,27 @@ class TestFromOverrides:
 
 
 class TestCalibrationSettings:
-    def test_nocal_setting_column(self, tiny_dataset):
-        cfg = tiny_harness()
-        table = run_calibration_experiment(tiny_dataset, "nocal", "NoCal", cfg, master_seed=5)
-        assert sorted(table) == [0, 1]
-        assert table[0].shape == (len(tiny_dataset),)
-        assert np.all((table[0] >= 0) & (table[0] <= 1))
+    """NoCal, Recal, an unsupervised algorithm and RecalSCADANN in one run."""
 
-    def test_recal_setting_trains_per_session(self, tiny_dataset):
-        cfg = tiny_harness()
-        nocal = run_calibration_experiment(tiny_dataset, "nocal", "NoCal", cfg, master_seed=5)
-        recal = run_calibration_experiment(tiny_dataset, "recal", "Recal", cfg, master_seed=5)
+    @pytest.fixture(scope="class")
+    def accuracies(self, tiny_dataset):
+        cfg = tiny_harness(algorithms=("nocal", "recal", "adabn", "recal_scadann"))
+        results = run_experiment(tiny_dataset, cfg, master_seed=5)
+        return {a: np.array([r.accuracies[a] for r in results]) for a in cfg.algorithms}
+
+    def test_every_setting_scores_each_session(self, accuracies, tiny_dataset):
+        for algo, acc in accuracies.items():
+            assert acc.shape == (len(tiny_dataset), 2), algo
+            assert np.all((acc >= 0) & (acc <= 1)), algo
+
+    def test_recal_setting_trains_per_session(self, accuracies):
+        nocal, recal = accuracies["nocal"], accuracies["recal"]
         # session 0 identical by construction; session 1 retrained with labels
-        np.testing.assert_array_equal(nocal[0], recal[0])
-        assert recal[1].mean() >= nocal[1].mean() - 0.02
+        np.testing.assert_array_equal(nocal[:, 0], recal[:, 0])
+        assert recal[:, 1].mean() >= nocal[:, 1].mean() - 0.02
 
-    def test_unsup_setting_requires_unsupervised_algorithm(self, tiny_dataset):
-        with pytest.raises(ParameterError):
-            run_calibration_experiment(tiny_dataset, "recal", "Unsup", tiny_harness())
-
-    def test_unknown_setting(self, tiny_dataset):
-        with pytest.raises(ParameterError):
-            run_calibration_experiment(tiny_dataset, "dann", "Sideways", tiny_harness())
-
-    def test_unsup_adabn_column(self, tiny_dataset):
-        cfg = tiny_harness()
-        table = run_calibration_experiment(tiny_dataset, "adabn", "Unsup", cfg, master_seed=5)
-        assert table[1].shape == (len(tiny_dataset),)
-
-    def test_recal_scadann_setting_runs(self, tiny_dataset):
-        cfg = tiny_harness()
-        table = run_calibration_experiment(
-            tiny_dataset, "recal_scadann", "RecalSCADANN", cfg, master_seed=5
-        )
-        assert sorted(table) == [0, 1]
+    def test_recal_scadann_setting_runs(self, accuracies):
+        assert np.all(np.isfinite(accuracies["recal_scadann"]))
 
 
 def small_benchmark_cfg(seed=9):

@@ -1,76 +1,16 @@
-"""TD features, TSD descriptors/features and the LDA baseline."""
+"""TSD descriptors and features."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from semgcal import (
-    DataError,
-    EmptyInputError,
-    FeatureExample,
-    NumericError,
-    Segment,
-    ShapeError,
-    lda_fit,
-    lda_predict,
-    td_features,
-    tsd_descriptor,
-    tsd_features,
-)
+from semgcal import EmptyInputError, ParameterError, Segment, ShapeError, tsd_descriptor
 from semgcal import features
 from semgcal.experiment import _filter_stack, featurize
-from semgcal.features import (
-    TSD_EPS,
-    _real_cepstrum,
-    _similarity_combine,
-    lda_discriminants,
-    lda_fit_arrays,
-    tsd_matrix,
-)
+from semgcal.features import TSD_EPS, _real_cepstrum, _similarity_combine, tsd_matrix
 from semgcal.signal import segment_stream
 from semgcal.synth import SynthConfig, synth_generate
-
-
-def seg_with_channel(values, channel=0, width=None):
-    width = width or len(values)
-    data = np.zeros((10, width))
-    data[channel, : len(values)] = values
-    return Segment(data=data, start_index=0)
-
-
-class TestTdFeatures:
-    def test_zero_segment(self):
-        fe = td_features(seg_with_channel(np.zeros(150)))
-        assert fe.kind == "TD" and fe.values.shape == (40,)
-        assert np.all(fe.values == 0)
-
-    def test_alternating_toy(self):
-        fe = td_features(seg_with_channel([1.0, -1.0, 1.0, -1.0]))
-        mav, zc, ssc, wl = fe.values[:4]
-        assert mav == pytest.approx(1.0)
-        assert zc == 3
-        assert wl == pytest.approx(6.0)
-        # untouched channels stay all-zero
-        assert np.all(fe.values[4:] == 0)
-
-    def test_scaling_homogeneity(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(150)
-        base = td_features(seg_with_channel(x)).values[:4]
-        scaled = td_features(seg_with_channel(4.0 * x)).values[:4]
-        assert scaled[0] == pytest.approx(4.0 * base[0])  # MAV
-        assert scaled[3] == pytest.approx(4.0 * base[3])  # WL
-        assert scaled[1] == base[1] and scaled[2] == base[2]  # ZC, SSC
-
-    def test_channel_major_layout(self):
-        data = np.zeros((10, 20))
-        data[7] = np.linspace(-1, 1, 20)
-        fe = td_features(Segment(data=data, start_index=0))
-        assert np.any(fe.values[28:32] != 0)
-        mask = np.ones(40, dtype=bool)
-        mask[28:32] = False
-        assert np.all(fe.values[mask] == 0)
 
 
 class TestTsdDescriptor:
@@ -121,9 +61,7 @@ class TestTsdDescriptor:
 class TestTsdFeatures:
     def test_length_385(self):
         seg = Segment(data=np.random.default_rng(0).standard_normal((10, 150)), start_index=0)
-        fe = tsd_features(seg)
-        assert fe.values.shape == (385,)
-        assert fe.kind == "TSD"
+        assert tsd_matrix(seg.data[None])[0].shape == (385,)
 
     def test_identical_descriptor_pair_gives_one(self):
         a = np.array([1.0, -2.0, 0.5, 3.0, -0.1, 2.2, 1.1])
@@ -131,14 +69,14 @@ class TestTsdFeatures:
         np.testing.assert_allclose(f, 1.0, atol=1e-6)
 
     def test_zero_segment_gives_zeros(self):
-        fe = tsd_features(Segment(data=np.zeros((10, 150)), start_index=0))
-        np.testing.assert_allclose(fe.values, 0.0, atol=1e-9)
+        seg = Segment(data=np.zeros((10, 150)), start_index=0)
+        np.testing.assert_allclose(tsd_matrix(seg.data[None])[0], 0.0, atol=1e-9)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(5)
         for seed in range(5):
             seg = Segment(data=rng.standard_normal((10, 150)) * 50, start_index=0)
-            v = tsd_features(seg).values
+            v = tsd_matrix(seg.data[None])[0]
             assert np.all(v >= -1.0 - 1e-12) and np.all(v <= 1.0 + 1e-12)
             assert np.all(np.isfinite(v))
 
@@ -147,7 +85,7 @@ class TestTsdFeatures:
         batch = rng.standard_normal((4, 10, 150))
         mat = tsd_matrix(batch)
         for i in range(4):
-            single = tsd_features(Segment(data=batch[i], start_index=0)).values
+            single = tsd_matrix(batch[i][None])[0]
             np.testing.assert_allclose(mat[i], single, rtol=1e-12)
 
     def test_cepstrum_shape_and_determinism(self):
@@ -280,7 +218,10 @@ class TestTsdBoundaries:
         (lambda: tsd_matrix(np.ones((2, 10, 150, 1))), ShapeError),
         (lambda: featurize([], "tsd"), EmptyInputError),
         (lambda: featurize([], "spectrogram"), EmptyInputError),
-    ], ids=["2-D", "2-samples", "9-channels", "4-D", "featurize-empty", "spectrogram-empty"])
+        (lambda: featurize([Segment(data=np.ones((10, 150)), start_index=0)], "bogus"),
+         ParameterError),
+    ], ids=["2-D", "2-samples", "9-channels", "4-D", "featurize-empty", "spectrogram-empty",
+            "featurize-unknown-kind"])
     def test_bad_input_raises(self, call, error):
         with pytest.raises(error):
             call()
@@ -293,67 +234,3 @@ class TestTsdBoundaries:
         assert tsd_matrix(np.zeros((0, 10, 150))).shape == (0, 385)
         assert tsd_matrix(np.ones((1, 10, 150))).shape == (1, 385)
         assert tsd_matrix(np.ones((16, 10, 150))).shape == (16, 385)
-
-
-def gaussian_clusters(seed=0, n=100, d=8, sep=5.0):
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((n, d)) - sep / 2
-    x1 = rng.standard_normal((n, d)) + sep / 2
-    x = np.vstack([x0, x1])
-    y = np.array([0] * n + [1] * n)
-    return x, y
-
-
-class TestLda:
-    def test_separable_clusters_perfect_training_accuracy(self):
-        x, y = gaussian_clusters(seed=11)
-        model = lda_fit_arrays(x, y)
-        preds = lda_predict(model, x)
-        assert np.mean(preds == y) == 1.0
-        # nearest-mean oracle agrees on this isotropic fixture
-        mean0, mean1 = x[y == 0].mean(axis=0), x[y == 1].mean(axis=0)
-        oracle = (np.linalg.norm(x - mean1, axis=1) < np.linalg.norm(x - mean0, axis=1)).astype(int)
-        assert np.array_equal(preds, oracle)
-
-    def test_duplicated_points_predict_nearer_mean(self):
-        x = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [4.0, 4.0]])
-        y = np.array([0, 0, 1, 1])
-        model = lda_fit_arrays(x, y)
-        assert lda_predict(model, np.array([0.5, 0.5])) == 0
-        assert lda_predict(model, np.array([3.5, 3.5])) == 1
-
-    def test_symmetric_midpoint_discriminants_equal(self):
-        rng = np.random.default_rng(4)
-        base = rng.standard_normal((60, 3))
-        mu = np.array([2.0, -1.0, 0.5])
-        x = np.vstack([base - mu, -base + mu])  # exact point symmetry
-        y = np.array([0] * 60 + [1] * 60)
-        model = lda_fit_arrays(x, y)
-        scores = lda_discriminants(model, np.zeros(3))[0]
-        assert abs(scores[0] - scores[1]) < 1e-9
-
-    def test_affine_invariance_of_predictions(self):
-        x, y = gaussian_clusters(seed=21, d=5)
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5)) + 3 * np.eye(5)
-        b = rng.standard_normal(5)
-        x2 = x @ a.T + b
-        p1 = lda_predict(lda_fit_arrays(x, y), x)
-        p2 = lda_predict(lda_fit_arrays(x2, y), x2)
-        assert np.array_equal(p1, p2)
-
-    def test_fit_from_feature_examples(self):
-        x, y = gaussian_clusters(seed=2, n=10, d=385, sep=8.0)
-        examples = [FeatureExample(values=row, label=int(lab)) for row, lab in zip(x, y)]
-        model = lda_fit(examples)
-        assert np.mean(lda_predict(model, x) == y) == 1.0
-
-    def test_single_class_rejected(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        with pytest.raises(DataError):
-            lda_fit_arrays(x, np.zeros(10, dtype=int))
-
-    def test_one_example_per_class_rejected(self):
-        x = np.eye(2)
-        with pytest.raises(DataError):
-            lda_fit_arrays(x, np.array([0, 1]))

@@ -1,11 +1,13 @@
 """Dataset persistence, the synthetic generator, reports and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from semgcal import ShapeError, SynthConfig, synth_generate
+import semgcal.cli as cli
 from semgcal.cli import main
 from semgcal.dataio import (
     canonical_json,
@@ -18,8 +20,10 @@ from semgcal.dataio import (
     save_report,
 )
 from semgcal.errors import DataError, ParseError, SemgCalError
+from semgcal.experiment import BenchmarkConfig
 from semgcal.nn import load_network
 from semgcal.signal import segment_stream
+from semgcal.train import default_train_config
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +294,31 @@ class TestCli:
         adapted = load_network(tmp_path / f"model_{algo}_subject0_session1.bin")
         assert adapted.num_gestures == 7
         assert model_path.read_bytes() == before
+
+    @pytest.mark.parametrize("command, kind", [
+        ("train", "tsd"), ("train", "spectrogram"), ("adapt", "tsd"),
+    ])
+    def test_train_and_adapt_run_the_evaluate_schedule(self, trained_cli_model, tmp_path,
+                                                       monkeypatch, command, kind):
+        data_dir, model_path = trained_cli_model
+        seen = {}
+
+        def stop(*args):
+            seen["cfg"] = args[0] if command == "train" else args[5]
+            raise SemgCalError("stopped before training")
+
+        monkeypatch.setattr(cli, "fit_new" if command == "train" else "adapt_model", stop)
+        argv = ["--data", str(data_dir), "--subject", "0", "--session", "1", "--gestures", "7",
+                "--input-kind", kind, "--seed", "3", "--out", str(tmp_path)]
+        argv = ["train", *argv] if command == "train" else ["adapt", "vada", "--model", str(model_path), *argv]
+        assert main(argv) == 1
+        cfg, bench = seen["cfg"], BenchmarkConfig().harness
+        kind_lr = default_train_config("tsd_dnn" if kind == "tsd" else "spectrogram_convnet").learning_rate
+        assert (cfg.input_kind, cfg.gestures) == (kind, 7)
+        assert cfg.heuristic.threshold_stable == 0.85
+        assert cfg.train == dataclasses.replace(bench.train, learning_rate=kind_lr)
+        assert cfg.adapt_train == bench.adapt_train
+        assert cfg.adapt == bench.adapt
 
     def test_adapt_rejects_model_with_other_gesture_count(self, trained_cli_model, tmp_path):
         data_dir, model_path = trained_cli_model

@@ -12,9 +12,9 @@ from semgcal import (
     generate_pseudo_labels,
     mv_relabel,
     segment_stream,
-    tsd_features,
     wilcoxon_signed_rank,
 )
+from semgcal.features import tsd_matrix
 from semgcal.stats import friedman_test
 
 
@@ -42,7 +42,7 @@ def test_segment_count_formula(triple):
 def test_tsd_values_bounded_and_finite(seed):
     rng = np.random.default_rng(seed)
     seg = Segment(data=rng.standard_normal((10, 150)) * rng.uniform(0.1, 40), start_index=0)
-    values = tsd_features(seg).values
+    values = tsd_matrix(seg.data[None])[0]
     assert values.shape == (385,)
     assert np.all(np.isfinite(values))
     assert np.all(values >= -1.0 - 1e-12) and np.all(values <= 1.0 + 1e-12)
