@@ -16,6 +16,7 @@ for byte (reports deliberately contain no wall-clock timestamps).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from dataclasses import asdict, is_dataclass
@@ -32,32 +33,57 @@ REPORT_SCHEMA_VERSION = 1
 _INT16 = np.iinfo(np.int16)
 _INT64 = np.iinfo(np.int64)
 
+# Rows per `%` formatting call in `_write_csv`: bounds the transient Python
+# ints to a block's worth while keeping the per-call overhead negligible.
+_WRITE_BLOCK_ROWS = 4096
+
+# Every byte of a file that `np.loadtxt` may parse: digits, signs, commas and
+# ASCII whitespace. Anything else (a '.', an 'e', a '_', non-ASCII text)
+# goes to the line parser, so the accepted set does not depend on the numpy
+# version (numpy 1.x `loadtxt` parses "1.0" as an int with a warning).
+_FAST_BYTES = b"0123456789,+- \t\r\n"
+
+_CYCLE_RE = re.compile(r"train_cycle(\d+)_gesture(\d+)\.csv$")
+_EVAL_RE = re.compile(r"eval_(\d+)\.csv$")
+
 
 def _write_csv(path: Path, rows: np.ndarray) -> None:
+    """One line of comma-separated integers per row, formatted a block of
+    rows per `%` operation; the bytes equal `",".join(str(int(v)) ...)`."""
+    n, k = rows.shape
+    line = ",".join(["%d"] * k) + "\n"
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+        for start in range(0, n, _WRITE_BLOCK_ROWS):
+            block = rows[start : start + _WRITE_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_int_csv(path: Path, columns: int) -> np.ndarray:
     """Rows of `columns` integers; the first NUM_CHANNELS columns are int16
-    samples, and a value outside that range is a ParseError, not a wrap."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != columns:
-                raise ShapeError(f"{path}: line {lineno} has {len(parts)} columns, expected {columns}")
-            try:
-                rows.append([int(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty recording")
+    samples, and a value outside that range is a ParseError, not a wrap.
+
+    A file of digits, signs, commas and whitespace is parsed in one
+    `np.loadtxt` pass. A file `loadtxt` refuses, and any other file, goes
+    through the line parser, which accepts the same set and names the line
+    of the first fault."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read recording {path}: {exc}") from exc
+    rows = None
+    # A blank file goes to the line parser, since `loadtxt` only warns on one.
+    if raw.strip() and not raw.translate(None, _FAST_BYTES):
+        try:
+            # A text wrapper decodes chunk by chunk; a StringIO of the whole
+            # file would hold it as 4-byte characters.
+            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"), delimiter=",",
+                              dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        if rows is not None and rows.shape[1] != columns:
+            rows = None
+    if rows is None:
+        rows = _parse_lines(path, raw, columns)
     try:
         data = np.asarray(rows, dtype=np.int64)
         samples = data[:, :NUM_CHANNELS]
@@ -65,36 +91,87 @@ def _read_int_csv(path: Path, columns: int) -> np.ndarray:
     except OverflowError:
         in_range = False
     if not in_range:
-        raise ParseError(_first_out_of_range(path))
+        raise ParseError(_first_out_of_range(path, raw.decode("utf-8")))
     return data
 
 
-def _first_out_of_range(path: Path) -> str:
+def _lines(text: str):
+    """Numbered lines of `text`, split as a file opened in text mode is."""
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
+def _parse_lines(path: Path, raw: bytes, columns: int) -> list[list[int]]:
+    """The line parser behind `_read_int_csv`: blank and whitespace-only
+    lines are skipped, and each cell is read with `int`."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[: exc.start] + b"x").splitlines())  # the bad byte's line
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+    rows = []
+    for lineno, line in _lines(text):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != columns:
+            raise ShapeError(f"{path}: line {lineno} has {len(parts)} columns, expected {columns}")
+        try:
+            rows.append([int(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty recording")
+    return rows
+
+
+def _first_out_of_range(path: Path, text: str) -> str:
     """Where the first value outside its column's range is in a file that
     parsed: int16 for the samples, int64 for the columns after them. The
-    file is read again, so that the parse keeps no line numbers."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for k, part in enumerate(line.split(",") if line.strip() else ()):
-                v = int(part)
-                limits = _INT16 if k < NUM_CHANNELS else _INT64
-                if not limits.min <= v <= limits.max:
-                    return f"{path}:{lineno}: {v} outside [{limits.min}, {limits.max}]"
+    text is split again, so that the parse keeps no line numbers."""
+    for lineno, line in _lines(text):
+        for k, part in enumerate(line.split(",") if line.strip() else ()):
+            v = int(part)
+            limits = _INT16 if k < NUM_CHANNELS else _INT64
+            if not limits.min <= v <= limits.max:
+                return f"{path}:{lineno}: {v} outside [{limits.min}, {limits.max}]"
     return f"{path}: a value outside its column's range"
 
 
+def _session_files(sess: SessionData) -> list[tuple[str, RawRecording, bool]]:
+    """(file name, recording, whether its labels are written as a column)
+    of every recording of one session, in write order."""
+    files = [(f"train_cycle{c}_gesture{g}.csv", rec, False)
+             for c, cycle in enumerate(sess.cycles) for g, rec in sorted(cycle.items())]
+    return files + [(f"eval_{e}.csv", rec, True) for e, rec in enumerate(sess.evals)]
+
+
 def save_dataset(subjects: list[SubjectData], root) -> None:
+    """Write every session in the CSV layout above.
+
+    Before writing anything, a target session directory that already holds
+    a recording file this write would not overwrite is a DataError, since
+    `load_session` would mix it into the session; nothing is deleted."""
     root = Path(root)
-    for sub in subjects:
-        for sess in sub.sessions:
-            d = root / f"subject_{sub.subject}" / f"session_{sess.session}"
+    plan = [(root / f"subject_{sub.subject}" / f"session_{sess.session}", _session_files(sess))
+            for sub in subjects for sess in sub.sessions]
+    for d, files in plan:
+        if not d.is_dir():
+            continue
+        names = {name for name, _, _ in files}
+        stale = sorted(p.name for p in d.iterdir()
+                       if (_CYCLE_RE.match(p.name) or _EVAL_RE.match(p.name)) and p.name not in names)
+        if stale:
+            raise DataError(f"{d} already holds recordings this dataset would not overwrite: "
+                            f"{', '.join(stale)}")
+    try:
+        for d, files in plan:
             d.mkdir(parents=True, exist_ok=True)
-            for c, cycle in enumerate(sess.cycles):
-                for g, rec in sorted(cycle.items()):
-                    _write_csv(d / f"train_cycle{c}_gesture{g}.csv", rec.samples.T)
-            for e, rec in enumerate(sess.evals):
-                stacked = np.vstack([rec.samples, rec.labels[None, :]])
-                _write_csv(d / f"eval_{e}.csv", stacked.T)
+            for name, rec, labelled in files:
+                rows = np.vstack([rec.samples, rec.labels[None, :]]) if labelled else rec.samples
+                _write_csv(d / name, rows.T)
+    except OSError as exc:
+        raise DataError(f"cannot write dataset under {root}: {exc}") from exc
 
 
 def load_session(root, subject: int, session: int) -> SessionData:
@@ -103,12 +180,10 @@ def load_session(root, subject: int, session: int) -> SessionData:
     d = Path(root) / f"subject_{subject}" / f"session_{session}"
     if not d.is_dir():
         raise DataError(f"missing session directory {d}")
-    cycle_re = re.compile(r"train_cycle(\d+)_gesture(\d+)\.csv$")
-    eval_re = re.compile(r"eval_(\d+)\.csv$")
     cycles: dict[int, dict[int, RawRecording]] = {}
     evals: dict[int, RawRecording] = {}
     for path in sorted(d.iterdir()):
-        m = cycle_re.match(path.name)
+        m = _CYCLE_RE.match(path.name)
         if m:
             c, g = int(m.group(1)), int(m.group(2))
             data = _read_int_csv(path, NUM_CHANNELS)
@@ -119,7 +194,7 @@ def load_session(root, subject: int, session: int) -> SessionData:
             )
             cycles.setdefault(c, {})[g] = rec
             continue
-        m = eval_re.match(path.name)
+        m = _EVAL_RE.match(path.name)
         if m:
             data = _read_int_csv(path, NUM_CHANNELS + 1)
             evals[int(m.group(1))] = RawRecording(

@@ -1,15 +1,20 @@
 """Dataset persistence, the synthetic generator, reports and the CLI."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgcal import ShapeError, SynthConfig, synth_generate
 import semgcal.cli as cli
 from semgcal.cli import main
 from semgcal.dataio import (
+    _read_int_csv,
     canonical_json,
     config_digest,
     load_report,
@@ -400,3 +405,198 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--bogus", "1", "--out", "x"])
         assert exc.value.code == 2
+
+
+def _reference_read_int_csv(path, columns):
+    """The line parser `_read_int_csv` replaced, kept as the oracle of its
+    accepted set, its values and its error messages."""
+    int16, int64 = np.iinfo(np.int16), np.iinfo(np.int64)
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != columns:
+                raise ShapeError(f"{path}: line {lineno} has {len(parts)} columns, expected {columns}")
+            try:
+                rows.append([int(p) for p in parts])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty recording")
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+        samples = data[:, :10]
+        in_range = samples.min() >= int16.min and samples.max() <= int16.max
+    except OverflowError:
+        in_range = False
+    if in_range:
+        return data
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            for k, part in enumerate(line.split(",") if line.strip() else ()):
+                v = int(part)
+                limits = int16 if k < 10 else int64
+                if not limits.min <= v <= limits.max:
+                    raise ParseError(f"{path}:{lineno}: {v} outside [{limits.min}, {limits.max}]")
+    raise ParseError(f"{path}: a value outside its column's range")
+
+
+def _outcome(read, path, columns):
+    """The array `read` returns, or the type and message of what it raises."""
+    try:
+        return read(path, columns)
+    except Exception as exc:  # the oracle's raw errors are compared too
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(path, columns):
+    want = _outcome(_reference_read_int_csv, path, columns)
+    got = _outcome(_read_int_csv, path, columns)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
+
+
+def _row(first, columns=10, last=None):
+    """One line: `first` in column 0, zeros after it, `last` in the final column."""
+    cells = [str(first)] + ["0"] * (columns - 1)
+    if last is not None:
+        cells[-1] = str(last)
+    return ",".join(cells)
+
+
+_ROW = _row(7)
+_LABELLED = _row(7, 11, last=3)
+
+# (text, columns): each case of the accepted and refused set.
+_READER_CASES = {
+    "blank-lines": ("\n" + _ROW + "\n\n\n" + _ROW + "\n\n", 10),
+    "whitespace-only-lines": (_ROW + "\n  \t \n" + _ROW + "\n \n", 10),
+    "crlf": (_ROW + "\r\n" + _ROW + "\r\n", 10),
+    "lone-cr": (_ROW + "\r" + _row(8) + "\r", 10),
+    "form-feed-between-rows": (_ROW + "\x0c" + _ROW + "\n", 10),
+    "unicode-line-separator": (_ROW + "\u2028" + _ROW + "\n", 10),
+    "plus-sign": (_row("+5") + "\n", 10),
+    "spaced-cell": (_row(" 5 ") + "\n" + _row("\t-5\t") + "\n", 10),
+    "underscore": (_row("1_000") + "\n", 10),
+    "decimal-point": (_row("1.0") + "\n", 10),
+    "exponent": (_row("1e3") + "\n", 10),
+    "hash": (_row("2#x") + "\n", 10),
+    "bare-sign": (_ROW + "\n" + _row("-") + "\n", 10),
+    "double-sign": (_ROW + "\n" + _row("+-5") + "\n", 10),
+    "inner-space": (_ROW + "\n" + _row("5 5") + "\n", 10),
+    "trailing-comma": (_ROW + ",\n", 10),
+    "trailing-comma-in-count": (_ROW[:-2] + ",\n", 10),
+    "ragged-rows": (_ROW + "\n" + _ROW + "\n" + _ROW[:-2] + "\n", 10),
+    "every-row-short": ((_ROW[:-2] + "\n") * 3, 10),
+    "empty-file": ("", 10),
+    "whitespace-only-file": (" \n\t\r\n\n", 10),
+    "single-row": (_ROW + "\n", 10),
+    "single-row-no-newline": (_ROW, 10),
+    "int16-extremes": (_row(32767) + "\n" + _row(-32768) + "\n", 10),
+    "int16-above": (_ROW + "\n" + _row(32768) + "\n", 10),
+    "int16-below": (_ROW + "\n\n" + _row(-32769) + "\n", 10),
+    "int64-label-extremes": (_row(1, 11, 2**63 - 1) + "\n" + _row(1, 11, -2**63) + "\n", 11),
+    "int64-label-above": (_LABELLED + "\n" + _row(1, 11, 2**63) + "\n", 11),
+    "int64-label-below": (_LABELLED + "\n" + _row(1, 11, -2**63 - 1) + "\n", 11),
+    "sample-2**70": (_ROW + "\n" + _row(2**70) + "\n", 10),
+    "label-2**70": (_LABELLED + "\n" + _row(1, 11, 2**70) + "\n", 11),
+    "labelled-rows": ((_LABELLED + "\n") * 4, 11),
+}
+
+
+class TestCsvReaderParity:
+    """`_read_int_csv` returns what the line parser it replaced returns, or
+    raises the same error type with the same message."""
+
+    @pytest.mark.parametrize("case", list(_READER_CASES))
+    def test_same_outcome_as_line_parser(self, tmp_path, case):
+        text, columns = _READER_CASES[case]
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text.encode())
+        _assert_same_outcome(path, columns)
+
+    @given(st.lists(st.lists(st.sampled_from(["0", "7", "-3", "+5", " 9", "32767", "-32768", "32768",
+                                                "1_0", "1.0", "", "-", "x"]),
+                             min_size=1, max_size=4),
+                    min_size=0, max_size=5),
+           st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n"]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_small_files_match_line_parser(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.mktemp("fuzz") / "rec.csv"
+        path.write_bytes(newline.join(",".join(cells) for cells in lines).encode())
+        _assert_same_outcome(path, 2)
+
+
+class TestFileBoundary:
+    def _session_dir(self, tmp_path):
+        d = tmp_path / "subject_0" / "session_0"
+        d.mkdir(parents=True)
+        (d / "train_cycle0_gesture0.csv").write_text((_ROW + "\n") * 3)
+        return d
+
+    def _preprocess(self, tmp_path):
+        return main(["preprocess", "--data", str(tmp_path), "--subject", "0", "--session", "0",
+                     "--gestures", "7", "--out", str(tmp_path / "prep")])
+
+    def test_non_utf8_recording_is_parse_error_naming_file(self, tmp_path, capsys):
+        d = self._session_dir(tmp_path)
+        (d / "eval_0.csv").write_bytes((_LABELLED + "\n").encode() * 2 + b"\xff\xfe,0\n")
+        with pytest.raises(ParseError, match=r"eval_0\.csv:3: not UTF-8 text"):
+            load_session(tmp_path, 0, 0)
+        assert self._preprocess(tmp_path) == 1
+        assert capsys.readouterr().err.startswith(f"error: {d / 'eval_0.csv'}:3")
+
+    def test_directory_named_like_a_recording_is_data_error(self, tmp_path, capsys):
+        d = self._session_dir(tmp_path)
+        (d / "eval_0.csv").mkdir()
+        with pytest.raises(DataError, match=r"eval_0\.csv"):
+            load_session(tmp_path, 0, 0)
+        assert self._preprocess(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read recording") and "eval_0.csv" in err
+
+
+def _tree_digest(root: Path) -> dict:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*.csv"))}
+
+
+class TestSaveDatasetTarget:
+    def test_fewer_gestures_over_an_old_dataset_is_refused(self, tmp_path):
+        save_dataset(synth_generate(small_cfg(gestures=11, cycle_block_seconds=0.3)), tmp_path)
+        before = _tree_digest(tmp_path)
+        with pytest.raises(DataError, match="train_cycle0_gesture10.csv") as err:
+            save_dataset(synth_generate(small_cfg(gestures=7, cycle_block_seconds=0.3)), tmp_path)
+        assert "train_cycle0_gesture7.csv" in str(err.value)
+        assert _tree_digest(tmp_path) == before  # refused before writing anything, deleted nothing
+
+    def test_cli_synth_over_an_old_dataset_exits_1(self, tmp_path, capsys):
+        argv = ["synth", "--seed", "1", "--out", str(tmp_path), "--subjects", "1", "--sessions", "1",
+                "--block-seconds", "0.3", "--eval-blocks", "2", "--eval-block-seconds", "0.3"]
+        assert main(argv + ["--gestures", "11"]) == 0
+        assert main(argv + ["--gestures", "7"]) == 1
+        assert "gesture10.csv" in capsys.readouterr().err
+        assert sorted(load_session(tmp_path, 0, 0).cycles[0]) == list(range(11))
+
+    def test_same_dataset_rewritten_is_byte_identical(self, tmp_path):
+        dataset = synth_generate(small_cfg())
+        save_dataset(dataset, tmp_path)
+        before = _tree_digest(tmp_path)
+        save_dataset(dataset, tmp_path)
+        assert _tree_digest(tmp_path) == before
+
+    def test_other_files_in_a_session_do_not_block_a_write(self, tmp_path):
+        d = tmp_path / "subject_0" / "session_0"
+        d.mkdir(parents=True)
+        (d / "notes.txt").write_text("kept")
+        (d / "eval_0.csv.bak").write_text("kept")
+        save_dataset(synth_generate(small_cfg()), tmp_path)
+        assert (d / "notes.txt").read_text() == "kept"

@@ -1,6 +1,7 @@
 """Property-based checks of the module invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,30 @@ from semgcal import (
     segment_stream,
     wilcoxon_signed_rank,
 )
+from semgcal.dataio import _WRITE_BLOCK_ROWS, _read_int_csv, _write_csv
 from semgcal.features import tsd_matrix
 from semgcal.stats import friedman_test
+
+
+@pytest.mark.parametrize("n", [1, 7, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
+                               _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_csv_write_read_round_trip(tmp_path_factory, n, seed):
+    """int16 samples beside an int64 label column, in blocks shorter than,
+    equal to and longer than the writer's block size."""
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-(2**15), 2**15, size=(n, 10), dtype=np.int16)
+    samples[rng.random((n, 10)) < 0.01] = rng.choice([-(2**15), 2**15 - 1])
+    labels = rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64, endpoint=True)
+    rows = np.vstack([samples.T, labels[None, :]]).T
+    path = tmp_path_factory.mktemp("csv") / "eval_0.csv"
+    _write_csv(path, rows)
+    assert path.read_bytes() == "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows).encode()
+    back = _read_int_csv(path, 11)
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back[:, :10], samples)
+    np.testing.assert_array_equal(back[:, 10], labels)
 
 
 @st.composite
