@@ -45,6 +45,7 @@ _FAST_BYTES = b"0123456789,+- \t\r\n"
 
 _CYCLE_RE = re.compile(r"train_cycle(\d+)_gesture(\d+)\.csv$")
 _EVAL_RE = re.compile(r"eval_(\d+)\.csv$")
+_SESSION_RE = re.compile(r"session_(\d+)$")
 
 
 def _write_csv(path: Path, rows: np.ndarray) -> None:
@@ -146,12 +147,18 @@ def _session_files(sess: SessionData) -> list[tuple[str, RawRecording, bool]]:
     return files + [(f"eval_{e}.csv", rec, True) for e, rec in enumerate(sess.evals)]
 
 
+def _is_recording(path: Path) -> bool:
+    return bool(_CYCLE_RE.match(path.name) or _EVAL_RE.match(path.name))
+
+
 def save_dataset(subjects: list[SubjectData], root) -> None:
     """Write every session in the CSV layout above.
 
-    Before writing anything, a target session directory that already holds
-    a recording file this write would not overwrite is a DataError, since
-    `load_session` would mix it into the session; nothing is deleted."""
+    Before writing anything, a DataError refuses a target that `load_session`
+    or `load_subject` would read mixed with older data: a session directory
+    holding a recording file this write would not overwrite, or a target
+    subject's `session_<k>` directory holding recordings for a session this
+    dataset does not write. Nothing is deleted."""
     root = Path(root)
     plan = [(root / f"subject_{sub.subject}" / f"session_{sess.session}", _session_files(sess))
             for sub in subjects for sess in sub.sessions]
@@ -159,11 +166,20 @@ def save_dataset(subjects: list[SubjectData], root) -> None:
         if not d.is_dir():
             continue
         names = {name for name, _, _ in files}
-        stale = sorted(p.name for p in d.iterdir()
-                       if (_CYCLE_RE.match(p.name) or _EVAL_RE.match(p.name)) and p.name not in names)
+        stale = sorted(p.name for p in d.iterdir() if _is_recording(p) and p.name not in names)
         if stale:
             raise DataError(f"{d} already holds recordings this dataset would not overwrite: "
                             f"{', '.join(stale)}")
+    for sub in subjects:
+        base = root / f"subject_{sub.subject}"
+        if not base.is_dir():
+            continue
+        written = {sess.session for sess in sub.sessions}
+        stale = sorted(p.name for p in base.iterdir()
+                       if (m := _SESSION_RE.match(p.name)) and int(m.group(1)) not in written
+                       and p.is_dir() and any(_is_recording(q) for q in p.iterdir()))
+        if stale:
+            raise DataError(f"{base} holds sessions this dataset does not write: {', '.join(stale)}")
     try:
         for d, files in plan:
             d.mkdir(parents=True, exist_ok=True)
@@ -215,8 +231,7 @@ def load_subject(root, subject: int) -> SubjectData:
     base = Path(root) / f"subject_{subject}"
     if not base.is_dir():
         raise DataError(f"missing subject directory {base}")
-    session_re = re.compile(r"session_(\d+)$")
-    session_ids = sorted(int(m.group(1)) for p in base.iterdir() if (m := session_re.match(p.name)))
+    session_ids = sorted(int(m.group(1)) for p in base.iterdir() if (m := _SESSION_RE.match(p.name)))
     if not session_ids:
         raise DataError(f"{base}: no sessions found")
     return SubjectData(subject=subject, sessions=[load_session(root, subject, s) for s in session_ids])

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 from .adapt import (
     AdaptConfig,
@@ -33,7 +32,7 @@ from .features import tsd_matrix
 from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
 from .relabel import HeuristicConfig
 from .signal import build_spectrogram_example  # noqa: F401 -- benchmarks/tracing.py wraps it in this module
-from .signal import design_bandpass, segment_stream, spectrograms, window_starts
+from .signal import bandpass, segment_stream, spectrograms, window_starts
 from .stats import accuracy, cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
 from .synth import SubjectData, SynthConfig, synth_generate
 from .train import TrainConfig, default_train_config, fit
@@ -107,9 +106,7 @@ def cell_seed(master_seed: int, *parts) -> int:
 
 def _filter_stack(segments) -> np.ndarray:
     """Band-pass a stack of segments in one vectorized call."""
-    sos = design_bandpass()
-    data = np.stack([s.data for s in segments])
-    return sps.sosfilt(sos, data, axis=-1)
+    return bandpass(np.stack([s.data for s in segments]))
 
 
 def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:

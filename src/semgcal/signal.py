@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 
 from .errors import EmptyInputError, ParameterError, ShapeError
 
@@ -28,6 +27,7 @@ SPEC_WIN = 48
 SPEC_OVERLAP = 14
 SPEC_HOP = SPEC_WIN - SPEC_OVERLAP  # 34
 STRIDE_MS = WINDOW_MS - OVERLAP_MS  # 50
+_FILTER_BLOCK = WINDOW_MS * SAMPLE_RATE_HZ // 1000  # 150: one window
 
 
 @dataclass(frozen=True)
@@ -150,28 +150,68 @@ def segment_stream(
     ]
 
 
+def _check_design(low_hz, high_hz, order, rate_hz) -> tuple[float, float, int, int]:
+    """The cache key (low_hz, high_hz, rate_hz, order) of a valid design."""
+    if not 0 < low_hz < high_hz:
+        raise ParameterError(f"need 0 < low < high, got {low_hz}, {high_hz}")
+    if high_hz >= rate_hz / 2:
+        raise ParameterError(f"high cutoff {high_hz} Hz >= Nyquist {rate_hz / 2} Hz")
+    if order < 2 or order % 2 != 0:
+        raise ParameterError(f"order must be a positive even integer, got {order}")
+    return float(low_hz), float(high_hz), int(rate_hz), int(order)
+
+
+def _conjugate_pairs(p: np.ndarray) -> np.ndarray:
+    """Complex values of `p` once per conjugate pair (positive imaginary part,
+    the pair averaged), then the real ones; each group sorted by real part."""
+    p = p[np.lexsort((np.abs(p.imag), p.real))]
+    real = np.abs(p.imag) <= 100 * np.finfo(np.float64).eps * np.abs(p)
+    upper, lower = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
+    return np.concatenate(((upper + lower.conj()) / 2, p[real].real))
+
+
 @lru_cache(maxsize=16)
 def _bandpass_sos(low_hz: float, high_hz: float, rate_hz: int, order: int) -> np.ndarray:
-    # scipy doubles the order for band-pass designs, so N = order // 2 gives
-    # an overall filter of the requested order.
-    return sps.butter(order // 2, [low_hz, high_hz], btype="bandpass", fs=rate_hz, output="sos")
+    """Butterworth band-pass sections, with the arithmetic of
+    `scipy.signal.butter(order // 2, [low_hz, high_hz], btype="bandpass",
+    fs=rate_hz, output="sos")`.
 
-
-def bandpass_filter(
-    seg: Segment,
-    low_hz: float = BANDPASS_LOW_HZ,
-    high_hz: float = BANDPASS_HIGH_HZ,
-    order: int = BANDPASS_ORDER,
-    rate_hz: int = SAMPLE_RATE_HZ,
-) -> Segment:
-    """Causal Butterworth band-pass, applied independently per channel.
-
-    Forward-only (no zero-phase pass): the windows feed a latency-sensitive
-    control loop, so the filter may not look ahead.
+    The analog prototype's poles are moved to the band edges pre-warped at
+    fs = 2, mapped to z by the bilinear transform, and paired into sections
+    with their nearest zeros, the pole nearest the unit circle last; the gain
+    goes into section 0.
     """
-    sos = design_bandpass(low_hz, high_hz, order, rate_hz)
-    filtered = sps.sosfilt(sos, np.asarray(seg.data, dtype=np.float64), axis=-1)
-    return Segment(data=filtered, start_index=seg.start_index, label=seg.label)
+    n = order // 2  # the band-pass transform doubles the prototype's order
+    edges = np.array([low_hz, high_hz]) / (rate_hz / 2)
+    warped = 4.0 * np.tan(np.pi * edges / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    prototype = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
+    lowpass = prototype * bw / 2
+    shift = np.sqrt(lowpass**2 - wo**2)
+    analog = np.concatenate((lowpass + shift, lowpass - shift))
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - analog))
+    poles = _conjugate_pairs((4.0 + analog) / (4.0 - analog))
+    zeros = np.repeat([-1.0, 1.0], n)  # the analog zeros at 0 and at infinity
+    sos = np.zeros((n, 6))
+    for i in range(n - 1, -1, -1):
+        j = np.argmin(np.abs(1 - np.abs(poles)))
+        p1 = poles[j]
+        poles = np.delete(poles, j)
+        if np.isreal(p1):  # real poles come in pairs: take the next one nearest the circle
+            reals = np.flatnonzero(np.isreal(poles))
+            j = reals[np.argmin(np.abs(1 - np.abs(poles[reals])))]
+            p2 = poles[j]
+            poles = np.delete(poles, j)
+        else:
+            p2 = np.conj(p1)
+        nearest = np.argsort(np.abs(zeros - p1), kind="stable")[:2]
+        sos[i, :3] = np.poly(zeros[nearest])
+        sos[i, 3:] = np.poly([p1, p2]).real
+        zeros = np.delete(zeros, nearest)
+    sos[0, :3] *= gain
+    sos.flags.writeable = False
+    return sos
 
 
 def design_bandpass(
@@ -181,13 +221,93 @@ def design_bandpass(
     rate_hz: int = SAMPLE_RATE_HZ,
 ) -> np.ndarray:
     """Second-order sections of the band-pass filter (bilinear-transform design)."""
-    if not 0 < low_hz < high_hz:
-        raise ParameterError(f"need 0 < low < high, got {low_hz}, {high_hz}")
-    if high_hz >= rate_hz / 2:
-        raise ParameterError(f"high cutoff {high_hz} Hz >= Nyquist {rate_hz / 2} Hz")
-    if order < 2 or order % 2 != 0:
-        raise ParameterError(f"order must be a positive even integer, got {order}")
-    return _bandpass_sos(float(low_hz), float(high_hz), int(rate_hz), int(order))
+    return _bandpass_sos(*_check_design(low_hz, high_hz, order, rate_hz)).copy()
+
+
+def _sections_filter(sos: np.ndarray, x: np.ndarray, state: np.ndarray):
+    """`scipy.signal.sosfilt`'s direct-form II transposed recursion over the
+    rows of `x` (M, L) from `state` (M, 2 * sections): (outputs, final state)."""
+    y = x.copy()
+    z = state.reshape(len(x), len(sos), 2).copy()
+    for t in range(x.shape[1]):
+        cur = y[:, t]
+        for s, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+            out = b0 * cur + z[:, s, 0]
+            z[:, s, 0] = (b1 * cur - a1 * out) + z[:, s, 1]
+            z[:, s, 1] = b2 * cur - a2 * out
+            cur = out
+        y[:, t] = cur
+    return y, z.reshape(len(x), -1)
+
+
+@lru_cache(maxsize=16)
+def _block_matrices(low_hz: float, high_hz: float, rate_hz: int, order: int):
+    """(resp, state_resp, state_in, carry): the band-pass over one
+    `_FILTER_BLOCK`-sample block as linear maps of its input u and its initial
+    state s (2 values a section). The block's output is
+    u @ resp + s @ state_resp and its final state u @ state_in + s @ carry.
+
+    resp[i, t] = h[t - i] for t >= i and 0 otherwise, h being the impulse
+    response. All four come from one run of the recursion over unit inputs
+    and unit states.
+    """
+    sos = _bandpass_sos(low_hz, high_hz, rate_hz, order)
+    b, s = _FILTER_BLOCK, 2 * len(sos)
+    units = np.eye(b + s)
+    y, final = _sections_filter(sos, units[:, :b], units[:, b:])
+    lag = np.abs(np.subtract.outer(np.arange(b), np.arange(b)))
+    mats = (np.triu(y[0][lag]), y[b:], final[:b], final[b:])
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
+def bandpass(
+    x: np.ndarray,
+    low_hz: float = BANDPASS_LOW_HZ,
+    high_hz: float = BANDPASS_HIGH_HZ,
+    order: int = BANDPASS_ORDER,
+    rate_hz: int = SAMPLE_RATE_HZ,
+) -> np.ndarray:
+    """Causal Butterworth band-pass of the last axis of `x`, from zero state.
+
+    The exact zero-state response of `design_bandpass`'s sections, computed
+    as one matrix product: a signal of W <= 150 samples (one window) comes
+    out as x @ T[:W, :W], where T[i, t] = h[t - i] (t >= i) holds the
+    impulse response h. Longer signals run in 150-sample blocks that carry
+    the filter state from one block to the next. Forward-only (no zero-phase
+    pass): the windows feed a latency-sensitive control loop, so the filter
+    may not look ahead.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    resp, state_resp, state_in, carry = _block_matrices(*_check_design(low_hz, high_hz, order, rate_hz))
+    n = x.shape[-1]
+    if n <= _FILTER_BLOCK:
+        return x @ resp[:n, :n]
+    y = np.empty_like(x)
+    state = None
+    for lo in range(0, n, _FILTER_BLOCK):
+        u = x[..., lo : lo + _FILTER_BLOCK]
+        w = u.shape[-1]
+        out = u @ resp[:w, :w]
+        if state is not None:
+            out += state @ state_resp[:, :w]
+        y[..., lo : lo + w] = out
+        if lo + w < n:
+            state = u @ state_in if state is None else u @ state_in + state @ carry
+    return y
+
+
+def bandpass_filter(
+    seg: Segment,
+    low_hz: float = BANDPASS_LOW_HZ,
+    high_hz: float = BANDPASS_HIGH_HZ,
+    order: int = BANDPASS_ORDER,
+    rate_hz: int = SAMPLE_RATE_HZ,
+) -> Segment:
+    """`bandpass` of one segment, applied independently per channel."""
+    filtered = bandpass(seg.data, low_hz, high_hz, order, rate_hz)
+    return Segment(data=filtered, start_index=seg.start_index, label=seg.label)
 
 
 def hann_window(n: int) -> np.ndarray:

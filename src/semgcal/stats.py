@@ -8,12 +8,57 @@ to n = 20) backs pairwise comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import DataError, EmptyInputError, NumericError, ShapeError
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _rankdata(a: np.ndarray) -> np.ndarray:
+    """Ranks of a 1-D array, 1 for the smallest; tied values share the mean of
+    their ranks (mid-ranks, exact in float64). All NaN if a value is NaN."""
+    a = np.asarray(a, dtype=np.float64)
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    values = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(a))
+    ranks = np.empty(len(a))
+    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square upper tail P(X > x) for an integer number of degrees of freedom.
+
+    In closed form: Q(dof / 2, x / 2), the regularized upper incomplete gamma,
+    built up from Q(1/2, y) = erfc(sqrt(y)) or Q(1, y) = exp(-y) by
+    Q(a + 1, y) = Q(a, y) + y**a exp(-y) / Gamma(a + 1).
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2.0
+    if dof % 2:
+        total, term, a = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi) * math.exp(-y), 1.5
+    else:
+        total, term, a = 0.0, math.exp(-y), 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= y / a
+        a += 1.0
+    return total
+
+
+def _norm_sf(z: float) -> float:
+    """Standard normal upper tail P(Z > z); the lower tail is `_norm_sf(-z)`."""
+    return 0.5 * math.erfc(z * _SQRT1_2)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -46,10 +91,10 @@ def friedman_test(table: np.ndarray) -> FriedmanResult:
     n, k = table.shape
     if n < 2 or k < 2:
         raise DataError(f"need >= 2 subjects and >= 2 algorithms, got {table.shape}")
-    ranks = np.vstack([sps.rankdata(-row) for row in table])
+    ranks = np.vstack([_rankdata(-row) for row in table])
     avg = ranks.mean(axis=0)
     statistic = 12.0 * n / (k * (k + 1)) * float(np.sum((avg - (k + 1) / 2.0) ** 2))
-    p_value = float(sps.chi2.sf(statistic, k - 1)) if statistic > 0 else 1.0
+    p_value = _chi2_sf(statistic, k - 1) if statistic > 0 else 1.0
     return FriedmanResult(avg_ranks=avg, statistic=statistic, p_value=p_value)
 
 
@@ -75,7 +120,7 @@ def holm_posthoc(avg_ranks: np.ndarray, n: int, control: int, alpha: float = 0.0
         raise DataError(f"control index {control} outside 0..{k - 1}")
     se = np.sqrt(k * (k + 1) / (6.0 * n))
     z = (avg_ranks[control] - avg_ranks) / se
-    p = sps.norm.sf(z)
+    p = np.array([_norm_sf(v) for v in z])
     others = [j for j in range(k) if j != control]
     order = sorted(others, key=lambda j: p[j])
     m = len(others)
@@ -99,7 +144,7 @@ def holm_posthoc(avg_ranks: np.ndarray, n: int, control: int, alpha: float = 0.0
 
 
 def _signed_rank_statistic(diffs: np.ndarray) -> tuple[float, np.ndarray]:
-    ranks = sps.rankdata(np.abs(diffs))
+    ranks = _rankdata(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     return w_plus, ranks
 
@@ -155,11 +200,11 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray, alternative: str = "two-s
     var = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(tie_counts**3 - tie_counts) / 48.0
     sd = np.sqrt(var)
     if alternative == "greater":
-        return float(sps.norm.sf((w_plus - mean - 0.5) / sd))
+        return _norm_sf((w_plus - mean - 0.5) / sd)
     if alternative == "less":
-        return float(sps.norm.cdf((w_plus - mean + 0.5) / sd))
+        return _norm_sf(-(w_plus - mean + 0.5) / sd)
     z = (w_plus - mean - 0.5 * np.sign(w_plus - mean)) / sd
-    return float(min(1.0, 2.0 * sps.norm.sf(abs(z))))
+    return float(min(1.0, 2.0 * _norm_sf(abs(z))))
 
 
 def cohens_dz(a: np.ndarray, b: np.ndarray) -> float:

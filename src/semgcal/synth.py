@@ -11,6 +11,7 @@ must cope with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,23 @@ class SynthConfig:
             raise ParameterError("scales must be >= 0")
         if self.gestures > 11:
             raise ParameterError(f"at most 11 gestures supported, got {self.gestures}")
+        if self.transition_ms < 0:
+            raise ParameterError(f"transition_ms must be >= 0, got {self.transition_ms}")
+        if not all(map(math.isfinite, (self.cycle_block_seconds, self.eval_block_seconds))):
+            raise ParameterError("block lengths must be finite")
+        if _samples(self.cycle_block_seconds) < 1:
+            raise ParameterError(f"a {self.cycle_block_seconds} s cycle block is under one sample")
+        if _samples(self.eval_block_seconds) < max(1, _ramp_samples(self.transition_ms)):
+            raise ParameterError(f"a {self.eval_block_seconds} s evaluation block is shorter than "
+                                 f"one sample or its {self.transition_ms} ms transition")
+
+
+def _samples(seconds: float) -> int:
+    return int(round(seconds * SAMPLE_RATE_HZ))
+
+
+def _ramp_samples(transition_ms: int) -> int:
+    return int(transition_ms * SAMPLE_RATE_HZ / 1000)
 
 
 @dataclass
@@ -119,8 +137,8 @@ def _to_int16(x: np.ndarray) -> np.ndarray:
 def _eval_stream(rng: np.random.Generator, profiles, cfg: SynthConfig, shift, gains):
     """Randomized gesture blocks joined by linear crossfades; per-sample labels
     switch at the midpoint of each crossfade."""
-    block_n = int(round(cfg.eval_block_seconds * SAMPLE_RATE_HZ))
-    ramp = int(cfg.transition_ms * SAMPLE_RATE_HZ / 1000)
+    block_n = _samples(cfg.eval_block_seconds)
+    ramp = _ramp_samples(cfg.transition_ms)
     order = [int(rng.integers(0, cfg.gestures))]
     for _ in range(cfg.eval_blocks - 1):
         nxt = int(rng.integers(0, cfg.gestures - 1))
@@ -160,7 +178,7 @@ def synth_generate(cfg: SynthConfig) -> list[SubjectData]:
         for k, k_seed in enumerate(session_seeds):
             rng = np.random.default_rng(k_seed)
             shift, gains = _session_transform(rng, k, cfg)
-            block_n = int(round(cfg.cycle_block_seconds * SAMPLE_RATE_HZ))
+            block_n = _samples(cfg.cycle_block_seconds)
             cycles = []
             for _ in range(cfg.cycles):
                 cycle = {}

@@ -24,7 +24,7 @@ from semgcal.dataio import (
     save_manifest,
     save_report,
 )
-from semgcal.errors import DataError, ParseError, SemgCalError
+from semgcal.errors import DataError, ParameterError, ParseError, SemgCalError
 from semgcal.experiment import BenchmarkConfig
 from semgcal.nn import load_network
 from semgcal.signal import segment_stream
@@ -104,6 +104,31 @@ class TestSynthGenerate:
             for rec in [sess.cycles[0][g] for g in sess.cycles[0]] + list(sess.evals):
                 segments = segment_stream(rec)
                 assert len(segments) >= 1
+
+    @pytest.mark.parametrize("kw", [
+        {"cycle_block_seconds": 0.0},
+        {"cycle_block_seconds": 0.0004},  # rounds to 0 samples
+        {"eval_block_seconds": 0.0, "transition_ms": 0},
+        {"eval_block_seconds": 0.149},  # shorter than the 150 ms transition
+        {"transition_ms": -1},
+        {"cycle_block_seconds": float("nan")},
+        {"eval_block_seconds": float("inf")},
+    ])
+    def test_block_shorter_than_a_sample_or_its_transition_rejected(self, kw):
+        with pytest.raises(ParameterError):
+            small_cfg(**kw)
+
+    def test_eval_block_as_long_as_its_transition_generates(self):
+        rec = synth_generate(small_cfg(eval_block_seconds=0.15, eval_blocks=3))[0].sessions[0].evals[0]
+        assert rec.samples.shape == (10, 450)
+
+    @pytest.mark.parametrize("flags", [["--block-seconds", "0"], ["--eval-block-seconds", "0.01"]])
+    def test_cli_synth_short_block_exits_1(self, tmp_path, capsys, flags):
+        argv = ["synth", "--seed", "1", "--out", str(tmp_path / "data"), "--subjects", "1",
+                "--sessions", "1", "--gestures", "7", "--eval-blocks", "2"]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "data").exists()
 
 
 class TestDatasetRoundTrip:
@@ -592,6 +617,21 @@ class TestSaveDatasetTarget:
         before = _tree_digest(tmp_path)
         save_dataset(dataset, tmp_path)
         assert _tree_digest(tmp_path) == before
+
+    def test_fewer_sessions_over_an_old_dataset_is_refused(self, tmp_path):
+        save_dataset(synth_generate(small_cfg(sessions=3)), tmp_path)
+        before = _tree_digest(tmp_path)
+        with pytest.raises(DataError, match="session_2"):
+            save_dataset(synth_generate(small_cfg(sessions=2, seed=6)), tmp_path)
+        assert _tree_digest(tmp_path) == before  # refused before writing anything, deleted nothing
+        assert len(load_subject(tmp_path, 0).sessions) == 3
+
+    def test_session_directory_without_recordings_does_not_block_a_write(self, tmp_path):
+        extra = tmp_path / "subject_0" / "session_7"
+        extra.mkdir(parents=True)
+        (extra / "notes.txt").write_text("kept")
+        save_dataset(synth_generate(small_cfg(sessions=2)), tmp_path)
+        assert (extra / "notes.txt").read_text() == "kept"
 
     def test_other_files_in_a_session_do_not_block_a_write(self, tmp_path):
         d = tmp_path / "subject_0" / "session_0"

@@ -19,7 +19,7 @@ from semgcal import (
     spectrogram_channel,
 )
 from semgcal.experiment import featurize
-from semgcal.signal import SPEC_HOP, SPEC_WIN, design_bandpass, spectrograms
+from semgcal.signal import SPEC_HOP, SPEC_WIN, bandpass, design_bandpass, spectrograms
 
 
 def make_recording(t, labels=None, seed=0):
@@ -203,6 +203,58 @@ class TestBandpass:
     def test_filter_is_order_four(self):
         # two second-order sections == fourth order
         assert design_bandpass().shape[0] == 2
+
+
+# scipy is the oracle for the numpy design and filter; the package itself
+# does not import it.
+
+
+def _scipy_sos(low, high, order, rate):
+    return sps.butter(order // 2, [low, high], btype="bandpass", fs=rate, output="sos")
+
+
+class TestBandpassMatchesScipy:
+    def test_shipped_design_bit_identical(self):
+        assert np.array_equal(design_bandpass(), _scipy_sos(20.0, 495.0, 4, 1000))
+
+    @pytest.mark.parametrize("rate", [1000, 2000])
+    @pytest.mark.parametrize("low, high", [(20.0, 495.0), (10.0, 200.0), (5.0, 400.0)])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_design(self, order, low, high, rate):
+        # orders 2 and 6 at 20-495 Hz have real band-pass poles
+        np.testing.assert_allclose(design_bandpass(low, high, order, rate),
+                                   _scipy_sos(low, high, order, rate), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("length", [1, 2, 149, 150, 151, 300, 4000])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 10)])
+    def test_bandpass_equals_sosfilt(self, length, lead):
+        x = np.random.default_rng(length).integers(-2000, 2000, size=(*lead, length)).astype(float)
+        want = sps.sosfilt(design_bandpass(), x, axis=-1)
+        got = bandpass(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_other_design_equals_sosfilt(self):
+        x = np.random.default_rng(3).standard_normal((4, 700))
+        want = sps.sosfilt(_scipy_sos(5.0, 400.0, 8, 2000), x, axis=-1)
+        got = bandpass(x, 5.0, 400.0, 8, 2000)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("length", [150, 149, 300])
+    def test_window_alone_equals_its_row_in_a_batch(self, length):
+        # what the online controller's per-window predictions rely on
+        batch = np.random.default_rng(length).integers(-2000, 2000, (300, 10, length)).astype(float)
+        filtered = bandpass(batch)
+        for i in range(0, 300, 7):
+            assert np.array_equal(bandpass(batch[i]), filtered[i])
+            assert np.array_equal(bandpass_filter(Segment(data=batch[i], start_index=0)).data,
+                                  filtered[i])
+
+    def test_bad_design_rejected(self):
+        with pytest.raises(ParameterError):
+            bandpass(np.zeros((10, 150)), 20.0, 500.0, 4, 1000)
+        with pytest.raises(ParameterError):
+            bandpass(np.zeros((10, 150)), order=3)
 
 
 class TestHannWindow:

@@ -17,6 +17,7 @@ from semgcal import (
     holm_posthoc,
     wilcoxon_signed_rank,
 )
+from semgcal.stats import _chi2_sf, _norm_sf, _rankdata
 
 
 class TestAccuracy:
@@ -227,3 +228,53 @@ class TestCohensDz:
     def test_too_few_pairs(self):
         with pytest.raises(DataError):
             cohens_dz(np.array([1.0]), np.array([0.0]))
+
+
+# scipy is the oracle for the numpy rank and tail functions; the package
+# itself does not import it.
+
+
+class TestNumpyStatisticsMatchScipy:
+    @pytest.mark.parametrize("row", [
+        [3.0, 1.0, 2.0, 2.0, 0.0, -0.0, 5.0],
+        [0.0, -0.0],
+        [0.7, 0.7, 0.7, 0.7],
+        [0.25],
+        [],
+        [np.nan, 1.0, 2.0],
+    ])
+    def test_rankdata_cases(self, row):
+        assert np.array_equal(_rankdata(row), sps.rankdata(row), equal_nan=True)
+
+    def test_rankdata_random_ties(self):
+        rng = np.random.default_rng(4)
+        for row in rng.integers(-3, 4, size=(500, 9)) / 2.0:
+            assert np.array_equal(_rankdata(row), sps.rankdata(row))
+        for row in rng.random((100, 20)):
+            assert np.array_equal(_rankdata(row), sps.rankdata(row))
+
+    @pytest.mark.parametrize("dof", range(1, 11))
+    def test_chi2_sf(self, dof):
+        xs = np.concatenate((np.logspace(-6, np.log10(700.0), 400), np.linspace(0.05, 80.0, 400)))
+        got = np.array([_chi2_sf(x, dof) for x in xs])
+        np.testing.assert_allclose(got, sps.chi2.sf(xs, dof), rtol=1e-12, atol=0)
+        assert _chi2_sf(0.0, dof) == 1.0
+
+    def test_normal_sf_and_cdf(self):
+        zs = np.concatenate((np.linspace(-37.0, 37.0, 2001), [-1e-300, 0.0, 1e-300]))
+        sf = np.array([_norm_sf(z) for z in zs])
+        cdf = np.array([_norm_sf(-z) for z in zs])
+        np.testing.assert_allclose(sf, sps.norm.sf(zs), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cdf, sps.norm.cdf(zs), rtol=1e-12, atol=0)
+
+    def test_battery_p_values_match_scipy(self):
+        rng = np.random.default_rng(11)
+        no_ties = rng.random((20, 5))
+        assert friedman_test(no_ties).p_value == pytest.approx(
+            sps.friedmanchisquare(*no_ties.T).pvalue, rel=1e-12)
+        # rounded accuracies tie in most rows; scipy's statistic would add a
+        # tie correction that the battery does not make, so compare the tail
+        res = friedman_test(np.round(rng.random((20, 5)), 2))
+        assert res.p_value == pytest.approx(sps.chi2.sf(res.statistic, 4), rel=1e-12)
+        holm = holm_posthoc(res.avg_ranks, n=20, control=0)
+        np.testing.assert_allclose(holm.p_values[1:], sps.norm.sf(holm.z_values[1:]), rtol=1e-12)
