@@ -19,7 +19,7 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +239,10 @@ def load_subject(root, subject: int) -> SubjectData:
 
 def _jsonable(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        # A field marked "execution" sets how a run executes, not what it
+        # computes (such as `HarnessConfig.workers`); digests leave it out.
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
+                if not f.metadata.get("execution")}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

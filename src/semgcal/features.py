@@ -20,6 +20,11 @@ TSD_EPS = 1e-8
 _SIGNALS = NUM_CHANNELS + NUM_CHANNELS * (NUM_CHANNELS - 1) // 2  # channels and pair differences, 55
 TSD_LENGTH = 7 * _SIGNALS  # 385
 
+# Most threads one `tsd_matrix` call may use; None means one per usable CPU.
+# A study's subject worker (`semgcal.worker`) sets 1: it shares the CPUs with
+# the other subjects' workers.
+max_threads: int | None = None
+
 
 def _descriptors(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Seven log-scaled descriptors of each row of a C-contiguous `x` (rows, samples).
@@ -157,9 +162,10 @@ def tsd_matrix(batch: np.ndarray) -> np.ndarray:
 
     Rows are independent: the result is bit-identical for any batch split and
     thread count. A batch longer than one 16-segment pass is cut into
-    contiguous row ranges, one per usable CPU; the calling thread computes the
-    first range and helper threads the others, each writing its own rows of
-    the output (numpy's loops and FFTs release the interpreter lock).
+    contiguous row ranges, one per usable CPU (at most `max_threads`); the
+    calling thread computes the first range and helper threads the others,
+    each writing its own rows of the output (numpy's loops and FFTs release
+    the interpreter lock).
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1] != NUM_CHANNELS or batch.shape[2] < 3:
@@ -168,7 +174,7 @@ def tsd_matrix(batch: np.ndarray) -> np.ndarray:
         )
     n = len(batch)
     out = np.empty((n, TSD_LENGTH), dtype=np.float64)
-    parts = min(_usable_cpus(), -(-n // _CHUNK))
+    parts = min(max_threads or _usable_cpus(), -(-n // _CHUNK))
     if parts <= 1:
         _tsd_rows(batch, out)
         return out

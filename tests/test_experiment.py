@@ -2,12 +2,20 @@
 
 import dataclasses
 import filecmp
+import io
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semgcal.experiment as experiment
-from semgcal import DataError, EmptyInputError, ParameterError
+from semgcal import DataError, EmptyInputError, ParameterError, SemgCalError, features, worker
 from semgcal.adapt import AdaptConfig
 from semgcal.dataio import canonical_json, config_digest, save_manifest, save_report
 from semgcal.experiment import (
@@ -271,6 +279,151 @@ class TestRunExperiment:
         assert cell_seed(1, 2, "dann") != cell_seed(1, 2, "vada")
 
 
+class Exits:
+    """Unpickles, in a worker, by running `code` there: a way to make a worker fail."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def __reduce__(self):
+        return exec, (self.code,)
+
+
+class TestChildProcesses:
+    """Two or more subjects run in `semgcal.worker` processes."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        """Fail a call that hangs in place of hanging, and leave no child behind."""
+        def hung(signum, frame):
+            raise TimeoutError("the study did not end within 300 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(300)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture(scope="class")
+    def three_subjects(self):
+        return synth_generate(tiny_synth(subjects=3, seed=13))
+
+    def test_one_subject_runs_in_this_process(self, tiny_dataset, monkeypatch):
+        def no_child(*args, **kwargs):
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_child)
+        [result] = run_experiment(tiny_dataset[1:], quick_harness(), master_seed=5)
+        assert result == run_subject(tiny_dataset[1], quick_harness(), master_seed=5)
+
+    def test_child_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        env = experiment._child_env()
+        assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
+        root = str(Path(experiment.__file__).resolve().parents[1])
+        assert env["PYTHONPATH"].split(os.pathsep) == [root, "elsewhere"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+    def test_default_workers_is_the_usable_cpu_count(self):
+        assert HarnessConfig().workers == len(os.sched_getaffinity(0))
+        assert BenchmarkConfig().harness.workers == len(os.sched_getaffinity(0))
+
+    def test_workers_left_out_of_digest_and_manifest(self, tmp_path):
+        base = BenchmarkConfig()
+        one, two = (dataclasses.replace(base, harness=dataclasses.replace(base.harness, workers=w))
+                    for w in (1, 2))
+        assert config_digest(one) == config_digest(two)
+        assert "workers" not in canonical_json(one)
+        save_manifest(tmp_path / "one", 0, one)
+        save_manifest(tmp_path / "two", 0, two)
+        assert (tmp_path / "one" / "manifest.json").read_bytes() == (tmp_path / "two" / "manifest.json").read_bytes()
+
+    def test_worker_count_leaves_every_file_byte_identical(self, tmp_path):
+        base = small_benchmark_cfg()
+        base.synth = dataclasses.replace(base.synth, subjects=3)
+        for workers in (1, 2, 3):
+            cfg = dataclasses.replace(base, harness=dataclasses.replace(quick_harness(), workers=workers))
+            benchmark_report(cfg, tmp_path / f"w{workers}")
+        names = ["report.json", "manifest.json", "accuracy_0.csv", "accuracy_1.csv"]
+        assert sorted(p.name for p in (tmp_path / "w1").iterdir()) == sorted(names)
+        for workers in (2, 3):
+            for name in names:
+                assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / f"w{workers}" / name,
+                                   shallow=False), (workers, name)
+
+    def test_results_equal_run_subject_with_one_blas_thread(self, three_subjects):
+        cfg = quick_harness(algorithms=("nocal", "dann", "scadann"))
+        children = run_experiment(three_subjects, cfg, master_seed=6)
+        serial = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys\n"
+             "from semgcal.experiment import run_subject\n"
+             "dataset, cfg, seed = pickle.load(sys.stdin.buffer)\n"
+             "sys.stdout.buffer.write(pickle.dumps([run_subject(sd, cfg, seed) for sd in dataset]))"],
+            input=pickle.dumps((three_subjects, cfg, 6)), capture_output=True, check=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                 "PYTHONPATH": str(Path(experiment.__file__).resolve().parents[1])},
+        )
+        assert children == pickle.loads(serial.stdout)
+
+    def test_worker_starts_no_tsd_helper_thread(self, tiny_dataset, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(features, "max_threads", None)
+        monkeypatch.setattr(features, "ThreadPoolExecutor", no_pool)
+        cfg = quick_harness()
+        out = io.BytesIO()
+        assert worker.main(io.BytesIO(pickle.dumps((tiny_dataset[0], cfg, 5))), out) == 0
+        status, result = pickle.loads(out.getvalue())
+        assert status == "ok"
+        assert result == run_experiment(tiny_dataset, cfg, master_seed=5)[0]
+
+    def test_semgcal_error_in_a_child_is_raised_again(self, tiny_dataset):
+        one_cycle = dataclasses.replace(tiny_dataset[1].sessions[0],
+                                        cycles=tiny_dataset[1].sessions[0].cycles[:1])
+        bad = dataclasses.replace(tiny_dataset[1], sessions=[one_cycle, *tiny_dataset[1].sessions[1:]])
+        with pytest.raises(DataError) as in_process:
+            run_subject(bad, quick_harness(), master_seed=5)
+        with pytest.raises(DataError) as child:
+            run_experiment([tiny_dataset[0], bad], quick_harness(), master_seed=5)
+        assert type(child.value) is type(in_process.value)
+        assert str(child.value) == str(in_process.value) == "session 0 needs >= 2 cycles"
+
+    @pytest.mark.parametrize("code, how", [
+        ("import sys; sys.stderr.write('worker gave up'); sys.exit(3)", "exited with status 3"),
+        ("import os, signal, sys; sys.stderr.write('worker gave up'); sys.stderr.flush(); "
+         "os.kill(os.getpid(), signal.SIGKILL)", "died from signal 9"),
+        ("import os, sys; sys.stderr.write('worker gave up'); sys.stderr.flush(); "
+         "os.close(1); sys.exit(0)", "exited with status 0 but sent no readable result"),
+    ], ids=["exit-status", "killed", "no-result"])
+    def test_a_dead_child_ends_in_semgcal_error(self, tiny_dataset, code, how):
+        dying = dataclasses.replace(tiny_dataset[1], sessions=Exits(code))
+        with pytest.raises(SemgCalError) as exc:
+            run_experiment([tiny_dataset[0], dying], quick_harness(workers=2), master_seed=5)
+        assert type(exc.value) is SemgCalError
+        message = str(exc.value)
+        assert message.startswith(f"subject {tiny_dataset[1].subject}: worker process {how}")
+        assert message.endswith("worker gave up")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failure_stops_the_other_children(self, tiny_dataset, workers):
+        # With 1 worker the second child does not start (or is killed if it
+        # just did); with 2 it is killed, in place of sleeping for 10 minutes.
+        dying = dataclasses.replace(tiny_dataset[1], sessions=Exits("import sys; sys.exit(5)"))
+        slow = dataclasses.replace(tiny_dataset[0], sessions=Exits("import time; time.sleep(600)"))
+        start = time.perf_counter()
+        with pytest.raises(SemgCalError, match="exited with status 5"):
+            run_experiment([dying, slow], quick_harness(workers=workers), master_seed=5)
+        assert time.perf_counter() - start < 60
+
+
 @pytest.fixture(scope="module")
 def adapt_setup(tiny_dataset):
     cfg = tiny_harness(adapt_train=default_train_config(
@@ -367,6 +520,10 @@ class TestFromOverrides:
         {"harness": {"gestures": 9}},
         {"harness": {"algorithms": ["nocal", "magic"]}},
         {"harness": {"train": {"batch_size": 0}}},
+        {"harness": {"workers": 0}},
+        {"harness": {"workers": "2"}},
+        {"harness": {"workers": 1.5}},
+        {"harness": {"workers": True}},
         {"harness": 3},
         {"synth": None},
     ])

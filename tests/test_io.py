@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from semgcal import ShapeError, SynthConfig, synth_generate
 import semgcal.cli as cli
+import semgcal.experiment as experiment
 from semgcal.cli import main
 from semgcal.dataio import (
     _read_int_csv,
@@ -378,6 +379,20 @@ class TestCli:
         rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("workers", ["2", 0], ids=["string", "zero"])
+    def test_evaluate_bad_workers_exits_1_before_anything_runs(self, tmp_path, capsys,
+                                                               monkeypatch, workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"harness": {"workers": workers}}))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers!r}\n"
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],

@@ -41,6 +41,16 @@ def mv_oracle(rows, w):
     return out
 
 
+def mv_loop(rows, w):
+    """`mv_relabel` as it was before it was vectorized, kept frozen here."""
+    n = len(rows)
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        window = rows[max(0, i - w) : min(n, i + w + 1)]
+        labels[i] = int(np.argmax(np.median(window, axis=0)))
+    return labels
+
+
 class TestPredictionStream:
     def test_rejects_non_normalized_rows(self):
         with pytest.raises(ParameterError):
@@ -84,6 +94,20 @@ class TestMvRelabel:
         rows = np.full((10, 4), 0.25)
         s = PredictionStream(rows=rows)
         assert np.all(mv_relabel(s) == 0)
+
+    @pytest.mark.parametrize("n, w", [
+        (1, 0), (1, 1), (1, 20), (2, 1), (7, 0), (7, 1), (7, 3), (7, 4), (8, 4), (9, 4),
+        (60, 0), (60, 1), (60, 20), (60, 29), (60, 30), (60, 31), (61, 30), (300, 20), (3000, 20),
+    ])
+    def test_equals_the_per_index_loop(self, n, w):
+        """Bit for bit against the loop of one `np.median` per index it replaced."""
+        rng = np.random.default_rng(n * 100 + w)
+        for trial in range(5):
+            raw = rng.random((n, int(rng.integers(2, 12))))
+            if trial % 2:
+                raw = np.round(raw, 1) + 0.01  # many ties between classes and rows
+            s = PredictionStream(rows=raw / raw.sum(axis=1, keepdims=True), stride_ms=1000)
+            assert np.array_equal(mv_relabel(s, t_seconds=w), mv_loop(s.rows, w)), trial
 
 
 class TestFindTransitionStart:
