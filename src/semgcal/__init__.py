@@ -9,7 +9,6 @@ from .adapt import (
     AdaptConfig,
     ScadannResult,
     adabn_adapt,
-    conditional_entropy_loss,
     dann_train,
     dirt_t_refine,
     mv_calibrate,
@@ -49,7 +48,6 @@ from .signal import (
     RawRecording,
     Segment,
     SpectrogramExample,
-    bandpass_filter,
     build_spectrogram_example,
     hann_window,
     segment_stream,
@@ -63,7 +61,7 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .synth import SessionData, SubjectData, SynthConfig, synth_generate
-from .train import TrainConfig, default_train_config, train_supervised
+from .train import TrainConfig, default_train_config, fit
 
 __version__ = "0.1.0"
 
@@ -92,16 +90,15 @@ __all__ = [
     "UsageError",
     "accuracy",
     "adabn_adapt",
-    "bandpass_filter",
     "build_spectrogram_convnet",
     "build_spectrogram_example",
     "build_tsd_dnn",
     "cohens_dz",
-    "conditional_entropy_loss",
     "dann_train",
     "default_train_config",
     "dirt_t_refine",
     "find_transition_start",
+    "fit",
     "friedman_test",
     "generate_pseudo_labels",
     "hann_window",
@@ -115,7 +112,6 @@ __all__ = [
     "segment_stream",
     "spectrogram_channel",
     "synth_generate",
-    "train_supervised",
     "tsd_descriptor",
     "vada_train",
     "vat_loss",

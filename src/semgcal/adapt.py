@@ -22,7 +22,6 @@ from .relabel import (
     HeuristicConfig,
     PredictionStream,
     PseudoLabeledDataset,
-    entropy_rows,
     generate_pseudo_labels,
     mv_relabel,
 )
@@ -58,18 +57,6 @@ class AdaptConfig:
             raise ParameterError(f"vat_epsilon must be > 0, got {self.vat_epsilon}")
         if self.dirt_t_iterations < 1 or self.dirt_t_steps_per_iter < 1:
             raise ParameterError("DIRT-T schedule values must be >= 1")
-
-
-def conditional_entropy_loss(softmax_rows: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean Shannon entropy (nats) of softmax rows; non-negative.
-
-    This is the cluster-assumption penalty evaluated on unlabeled data:
-    minimizing it pushes predictions toward confidence.
-    """
-    rows = np.asarray(softmax_rows, dtype=np.float64)
-    if rows.ndim != 2 or len(rows) == 0:
-        raise DataError(f"expected a nonempty (N, K) matrix, got {rows.shape}")
-    return float(np.mean(entropy_rows(rows, eps=eps)))
 
 
 def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,7 +180,7 @@ def _domain_loss(model: Network, rng, feats_s: Tensor, x_tgt_batch: np.ndarray,
                  lambda_d: float) -> tuple[Tensor, Tensor]:
     """lambda_d-weighted domain cross-entropy over paired source/target features."""
     feats_t = model.features(x_tgt_batch, rng=rng)
-    dom_feats = ad.concat([feats_s, feats_t], axis=0)
+    dom_feats = ad.concat([feats_s, feats_t])
     dom_logits = model.head_logits(dom_feats, "domain", grl_lambda=1.0)
     dom_labels = np.concatenate(
         [np.zeros(feats_s.data.shape[0], dtype=np.int64), np.ones(feats_t.data.shape[0], dtype=np.int64)]
@@ -359,10 +346,9 @@ class ScadannResult:
     step3_history: TrainHistory | None = None
 
 
-def prediction_stream(model: Network, x_stream: np.ndarray, stride_ms: int = 50) -> PredictionStream:
-    """Eval-mode softmax rows over time-ordered examples."""
-    return PredictionStream(rows=model.predict_probs(np.asarray(x_stream, dtype=np.float32)),
-                            stride_ms=stride_ms)
+def prediction_stream(model: Network, x_stream: np.ndarray) -> PredictionStream:
+    """Eval-mode softmax rows over time-ordered examples, one window stride apart."""
+    return PredictionStream(rows=model.predict_probs(np.asarray(x_stream, dtype=np.float32)))
 
 
 def scadann_calibrate(
@@ -374,7 +360,6 @@ def scadann_calibrate(
     acfg: AdaptConfig | None = None,
     hcfg: HeuristicConfig | None = None,
     cfg: TrainConfig | None = None,
-    stride_ms: int = 50,
 ) -> ScadannResult:
     """Three-step self-calibration.
 
@@ -400,7 +385,7 @@ def scadann_calibrate(
     m1 = model.clone()
     _, hist1 = dann_train(m1, x_src, y_src, x_stream, lambda_d=acfg.dann_lambda_d, cfg=cfg)
 
-    stream = prediction_stream(m1, x_stream, stride_ms=stride_ms)
+    stream = prediction_stream(m1, x_stream)
     pseudo = generate_pseudo_labels(stream, hcfg)
     if pseudo.kept_count == 0:
         return ScadannResult(model=m1, pseudo=pseudo, status="empty-pseudo-labels", step1_history=hist1)
@@ -439,8 +424,6 @@ def mv_calibrate(
     y_src: np.ndarray,
     streams: list[np.ndarray],
     cfg: TrainConfig | None = None,
-    t_seconds: float = 1.0,
-    stride_ms: int = 50,
 ) -> tuple[Network, np.ndarray]:
     """Median-vote self-calibration: relabel every pooled stream with the
     model's own median-filtered predictions, then retrain on the labeled
@@ -453,8 +436,7 @@ def mv_calibrate(
     pooled_labels = []
     for x_stream in streams:
         x_stream = np.asarray(x_stream, dtype=np.float32)
-        stream = prediction_stream(model, x_stream, stride_ms=stride_ms)
-        labels = mv_relabel(stream, t_seconds=t_seconds)
+        labels = mv_relabel(prediction_stream(model, x_stream))
         xs.append(x_stream)
         ys.append(labels)
         pooled_labels.append(labels)

@@ -56,9 +56,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -102,9 +99,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -194,16 +188,6 @@ def exp(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T, owned=True)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g, owned=True)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old_shape = a.data.shape
 
@@ -213,18 +197,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors: list[Tensor]) -> Tensor:
+    """The tensors stacked along axis 0 (rows)."""
+    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+                t._accumulate(g[lo:hi])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -243,13 +225,12 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def sum_axis(a: Tensor, axis: int) -> Tensor:
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:

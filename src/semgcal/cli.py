@@ -29,7 +29,6 @@ from .experiment import (
 from .nn import load_network, save_network
 from .stats import accuracy
 from .synth import SynthConfig, synth_generate
-from .train import default_train_config
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -41,15 +40,14 @@ def _harness_flags(args) -> dict:
     """`HarnessConfig` overrides for the `--gestures` and `--input-kind` flags given.
 
     Every subcommand applies them to the benchmark's harness, so `preprocess`,
-    `train` and `adapt` run the schedule `evaluate` runs.
+    `train` and `adapt` run the schedule `evaluate` runs; `from_overrides`
+    gives a new input kind its network's learning rate.
     """
     flags = {}
     if args.gestures is not None:
         flags.update(gestures=args.gestures, heuristic=None)
     if args.input_kind is not None:
-        kind = "tsd_dnn" if args.input_kind == "tsd" else "spectrogram_convnet"
-        flags.update(input_kind=args.input_kind,
-                     train={"learning_rate": default_train_config(kind).learning_rate})
+        flags.update(input_kind=args.input_kind)
     return flags
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError, ShapeError
-from .signal import NUM_CHANNELS, SAMPLE_RATE_HZ, RawRecording
+from .signal import NUM_CHANNELS, RawRecording
 from .synth import SessionData, SubjectData
 
 REPORT_SCHEMA_VERSION = 1
@@ -205,7 +205,6 @@ def load_session(root, subject: int, session: int) -> SessionData:
             data = _read_int_csv(path, NUM_CHANNELS)
             rec = RawRecording(
                 samples=data.T.astype(np.int16),
-                rate_hz=SAMPLE_RATE_HZ,
                 labels=np.full(len(data), g, dtype=np.int64),
             )
             cycles.setdefault(c, {})[g] = rec
@@ -215,7 +214,6 @@ def load_session(root, subject: int, session: int) -> SessionData:
             data = _read_int_csv(path, NUM_CHANNELS + 1)
             evals[int(m.group(1))] = RawRecording(
                 samples=data[:, :NUM_CHANNELS].T.astype(np.int16),
-                rate_hz=SAMPLE_RATE_HZ,
                 labels=data[:, NUM_CHANNELS].astype(np.int64),
             )
     if not cycles:
@@ -266,9 +264,9 @@ def config_digest(cfg) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
-def save_report(report_dict: dict, out_dir, accuracy_tables: dict | None = None) -> Path:
+def save_report(report_dict: dict, out_dir) -> Path:
     """Write report.json (schema-versioned, deterministic byte layout) plus one
-    CSV accuracy table per session; returns the report path."""
+    CSV per session of the report's accuracy tables; returns the report path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": REPORT_SCHEMA_VERSION, **_jsonable(report_dict)}
@@ -276,7 +274,7 @@ def save_report(report_dict: dict, out_dir, accuracy_tables: dict | None = None)
     with open(report_path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=1))
         fh.write("\n")
-    for name, table in (accuracy_tables or {}).items():
+    for name, table in report_dict["accuracy"].items():
         algorithms = list(table["algorithms"])
         matrix = np.asarray(table["matrix"], dtype=np.float64)
         with open(out / f"accuracy_{name}.csv", "w") as fh:

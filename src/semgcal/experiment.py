@@ -97,11 +97,20 @@ def from_overrides(obj, overrides: dict):
     an `adapt_train` copied from `train`) is derived again from the new
     values unless the overrides set it. A dict value updates a nested config
     field by field; None resets a field whose default is None so it is
-    derived; a JSON list becomes a tuple where the field holds one. Unknown
-    keys raise ParameterError.
+    derived; a JSON list becomes a tuple where the field holds one. A
+    `HarnessConfig` override that sets `input_kind` also sets that kind's
+    network learning rate, unless it sets `train.learning_rate` itself.
+    Unknown keys raise ParameterError.
     """
     if not isinstance(overrides, dict):
         raise ParameterError(f"{type(obj).__name__} overrides must be an object, got {overrides!r}")
+    kind = overrides.get("input_kind")
+    train = overrides.get("train", {})
+    if isinstance(obj, HarnessConfig) and kind in INPUT_KINDS and isinstance(train, dict) \
+            and "learning_rate" not in train:
+        network = "tsd_dnn" if kind == "tsd" else "spectrogram_convnet"
+        rate = default_train_config(network).learning_rate
+        overrides = {**overrides, "train": {**train, "learning_rate": rate}}
     fields = {f.name: f for f in dataclasses.fields(obj)}
     unknown = sorted(set(overrides) - set(fields))
     if unknown:
@@ -434,6 +443,9 @@ class BenchmarkConfig:
 
 def run_benchmark(cfg: BenchmarkConfig) -> dict:
     """Full synthetic benchmark; returns a deterministic report dictionary."""
+    if cfg.synth.gestures != cfg.harness.gestures:
+        raise ParameterError(f"synth.gestures {cfg.synth.gestures} != harness.gestures "
+                             f"{cfg.harness.gestures}: the classifier would not match the data")
     synth_cfg = dataclasses.replace(cfg.synth, seed=cell_seed(cfg.seed, "synth"))
     dataset = synth_generate(synth_cfg)
     results = run_experiment(dataset, cfg.harness, cfg.seed)
@@ -512,6 +524,6 @@ def benchmark_report(cfg: BenchmarkConfig, out_dir) -> dict:
     from .dataio import save_manifest, save_report
 
     report = run_benchmark(cfg)
-    save_report(report, out_dir, accuracy_tables=report["accuracy"])
+    save_report(report, out_dir)
     save_manifest(out_dir, cfg.seed, cfg)
     return report

@@ -26,6 +26,7 @@ LEAKY_SLOPE = 0.1
 DROPOUT_P = 0.5
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+EVAL_BATCH = 1024  # rows per eval-mode forward pass
 
 # Spectrogram ConvNet block layout: channels per block, all 3x3 valid
 # convolutions without bias (the batch norm absorbs it). With the 11-gesture
@@ -228,15 +229,15 @@ class Network:
             return self.domain_head(feats, ctx)
         raise UsageError(f"unknown head {head!r}")
 
-    def predict_probs(self, x: np.ndarray, head: str = "gesture", batch_size: int = 1024) -> np.ndarray:
-        """Eval-mode softmax rows, computed off-graph in batches."""
+    def predict_probs(self, x: np.ndarray, head: str = "gesture") -> np.ndarray:
+        """Eval-mode softmax rows, computed off-graph in batches of `EVAL_BATCH`."""
         was_training = self.training
         self.eval()
         try:
             with ad.no_grad():
                 chunks = []
-                for lo in range(0, len(x), batch_size):
-                    logits = self.logits(x[lo : lo + batch_size], head=head)
+                for lo in range(0, len(x), EVAL_BATCH):
+                    logits = self.logits(x[lo : lo + EVAL_BATCH], head=head)
                     chunks.append(ad.softmax(logits).data)
             return np.concatenate(chunks, axis=0)
         finally:
@@ -268,7 +269,7 @@ class Network:
             raise UsageError(f"unexpected tensors in state: {sorted(extra)}")
 
 
-def build_spectrogram_convnet(num_gestures: int, seed: int = 0, dtype=np.float32) -> Network:
+def build_spectrogram_convnet(num_gestures: int, seed: int = 0) -> Network:
     """Four conv blocks (conv -> BN -> leaky ReLU -> dropout), global average
     pooling, then an 11-way (or 7-way) gesture head and a 2-way domain head."""
     if num_gestures not in (7, 11):
@@ -278,18 +279,18 @@ def build_spectrogram_convnet(num_gestures: int, seed: int = 0, dtype=np.float32
     in_c = CONVNET_INPUT_SHAPE[0]
     kh, kw = CONVNET_KERNEL
     for i, out_c in enumerate(CONVNET_CHANNELS):
-        layers.append(Conv2d(f"b{i}.conv", in_c, out_c, kh, kw, rng, dtype))
-        layers.append(BatchNorm(f"b{i}.bn", out_c, dtype))
+        layers.append(Conv2d(f"b{i}.conv", in_c, out_c, kh, kw, rng, np.float32))
+        layers.append(BatchNorm(f"b{i}.bn", out_c, np.float32))
         layers.append(LeakyReLU())
         layers.append(Dropout())
         in_c = out_c
     layers.append(GlobalAvgPool())
-    gesture = Linear("gesture_head", in_c, num_gestures, rng, dtype)
-    domain = Linear("domain_head", in_c, 2, rng, dtype)
+    gesture = Linear("gesture_head", in_c, num_gestures, rng, np.float32)
+    domain = Linear("domain_head", in_c, 2, rng, np.float32)
     return Network("spectrogram_convnet", num_gestures, layers, gesture, domain, CONVNET_INPUT_SHAPE)
 
 
-def build_tsd_dnn(num_gestures: int, seed: int = 0, dtype=np.float32) -> Network:
+def build_tsd_dnn(num_gestures: int, seed: int = 0) -> Network:
     """Three 200-wide fully connected blocks (linear -> BN -> leaky ReLU(0.1)
     -> dropout) over the 385-value TSD vector, plus the two heads."""
     if num_gestures not in (7, 11):
@@ -298,13 +299,13 @@ def build_tsd_dnn(num_gestures: int, seed: int = 0, dtype=np.float32) -> Network
     layers = []
     in_f = TSD_INPUT_DIM
     for i, width in enumerate(TSD_HIDDEN):
-        layers.append(Linear(f"fc{i}", in_f, width, rng, dtype))
-        layers.append(BatchNorm(f"fc{i}.bn", width, dtype))
+        layers.append(Linear(f"fc{i}", in_f, width, rng, np.float32))
+        layers.append(BatchNorm(f"fc{i}.bn", width, np.float32))
         layers.append(LeakyReLU())
         layers.append(Dropout())
         in_f = width
-    gesture = Linear("gesture_head", in_f, num_gestures, rng, dtype)
-    domain = Linear("domain_head", in_f, 2, rng, dtype)
+    gesture = Linear("gesture_head", in_f, num_gestures, rng, np.float32)
+    domain = Linear("domain_head", in_f, 2, rng, np.float32)
     return Network("tsd_dnn", num_gestures, layers, gesture, domain, (TSD_INPUT_DIM,))
 
 

@@ -7,15 +7,16 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import NumericError
 
+# Kingma & Ba's defaults, the only ones either network trains with.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -26,7 +27,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for k, p in self.params.items():
             g = p.grad
             if g is None:
@@ -37,4 +38,4 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
             m_hat = self.m[k] / (1.0 - b1 ** self.t)
             v_hat = self.v[k] / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -15,8 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
+from .signal import STRIDE_MS
 
-STRIDE_MS_DEFAULT = 50
 _MV_BLOCK = 1024  # median-vote windows per vectorized median
 
 
@@ -25,7 +25,7 @@ class PredictionStream:
     """Time-ordered per-segment softmax rows, 50 ms apart by default."""
 
     rows: np.ndarray  # (N, num_classes)
-    stride_ms: int = STRIDE_MS_DEFAULT
+    stride_ms: int = STRIDE_MS
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -93,21 +93,11 @@ class PseudoLabeledDataset:
             raise ShapeError(f"{len(examples)} examples for a stream of length {self.length}")
         return examples[self.indices], self.labels.copy()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "kept": int(self.kept_count),
-            "indices": self.indices.tolist(),
-            "labels": self.labels.tolist(),
-            "relabeled_in_transition": self.relabeled_in_transition.astype(int).tolist(),
-            "dropped_ranges": [[int(lo), int(hi)] for lo, hi in self.dropped_ranges],
-        }
 
-
-def entropy_rows(rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Shannon entropy (nats) of each softmax row, with an eps-clamped log."""
+def entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) of each softmax row, with the log clamped at 1e-12."""
     p = np.asarray(rows, dtype=np.float64)
-    return -np.sum(p * np.log(np.maximum(p, eps)), axis=1)
+    return -np.sum(p * np.log(np.maximum(p, 1e-12)), axis=1)
 
 
 def mv_relabel(stream: PredictionStream, t_seconds: float = 1.0) -> np.ndarray:

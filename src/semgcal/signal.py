@@ -9,7 +9,7 @@ spectrograms arranged as a 4x10x24 (time x channel x frequency) tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,8 +34,7 @@ _FILTER_BLOCK = WINDOW_MS * SAMPLE_RATE_HZ // 1000  # 150: one window
 class RawRecording:
     """A multichannel integer sample stream, optionally with per-sample labels."""
 
-    samples: np.ndarray  # (channels, time), integer-valued
-    rate_hz: int = SAMPLE_RATE_HZ
+    samples: np.ndarray  # (channels, time), integer-valued, at SAMPLE_RATE_HZ
     labels: np.ndarray | None = None  # (time,) gesture ids
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class RawRecording:
             raise ShapeError(
                 f"expected ({NUM_CHANNELS}, time) samples, got {self.samples.shape}"
             )
-        if self.rate_hz <= 0:
-            raise ParameterError(f"rate_hz must be positive, got {self.rate_hz}")
         if self.labels is not None and len(self.labels) != self.samples.shape[1]:
             raise ShapeError(
                 f"labels length {len(self.labels)} != stream length {self.samples.shape[1]}"
@@ -97,14 +94,14 @@ def window_starts(
     """Window length in samples and the start index of every window of `rec`.
 
     The one windowing rule: windows of `window_ms` advanced every
-    `window_ms - overlap_ms`, at the recording's rate, so a stream of T
+    `window_ms - overlap_ms` at `SAMPLE_RATE_HZ`, so a stream of T
     samples has floor((T - window) / stride) + 1 of them. Raises what
     `segment_stream` raises before it slices anything.
     """
     if not window_ms > overlap_ms >= 0:
         raise ParameterError(f"need window_ms > overlap_ms >= 0, got {window_ms}, {overlap_ms}")
-    window = window_ms * rec.rate_hz // 1000
-    stride = (window_ms - overlap_ms) * rec.rate_hz // 1000
+    window = window_ms * SAMPLE_RATE_HZ // 1000
+    stride = (window_ms - overlap_ms) * SAMPLE_RATE_HZ // 1000
     if stride < 1:
         raise ParameterError("stride shorter than one sample")
     t = rec.num_samples
@@ -150,39 +147,28 @@ def segment_stream(
     ]
 
 
-def _check_design(low_hz, high_hz, order, rate_hz) -> tuple[float, float, int, int]:
-    """The cache key (low_hz, high_hz, rate_hz, order) of a valid design."""
-    if not 0 < low_hz < high_hz:
-        raise ParameterError(f"need 0 < low < high, got {low_hz}, {high_hz}")
-    if high_hz >= rate_hz / 2:
-        raise ParameterError(f"high cutoff {high_hz} Hz >= Nyquist {rate_hz / 2} Hz")
-    if order < 2 or order % 2 != 0:
-        raise ParameterError(f"order must be a positive even integer, got {order}")
-    return float(low_hz), float(high_hz), int(rate_hz), int(order)
-
-
 def _conjugate_pairs(p: np.ndarray) -> np.ndarray:
-    """Complex values of `p` once per conjugate pair (positive imaginary part,
-    the pair averaged), then the real ones; each group sorted by real part."""
+    """The values of `p`, all complex, once per conjugate pair (positive
+    imaginary part, the pair averaged), sorted by real part."""
     p = p[np.lexsort((np.abs(p.imag), p.real))]
-    real = np.abs(p.imag) <= 100 * np.finfo(np.float64).eps * np.abs(p)
-    upper, lower = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
-    return np.concatenate(((upper + lower.conj()) / 2, p[real].real))
+    return (p[p.imag > 0] + p[p.imag < 0].conj()) / 2
 
 
-@lru_cache(maxsize=16)
-def _bandpass_sos(low_hz: float, high_hz: float, rate_hz: int, order: int) -> np.ndarray:
-    """Butterworth band-pass sections, with the arithmetic of
-    `scipy.signal.butter(order // 2, [low_hz, high_hz], btype="bandpass",
-    fs=rate_hz, output="sos")`.
+@cache
+def _bandpass_sos() -> np.ndarray:
+    """The band-pass's Butterworth sections, with the arithmetic of
+    `scipy.signal.butter(BANDPASS_ORDER // 2, [BANDPASS_LOW_HZ,
+    BANDPASS_HIGH_HZ], btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos")`.
 
     The analog prototype's poles are moved to the band edges pre-warped at
     fs = 2, mapped to z by the bilinear transform, and paired into sections
     with their nearest zeros, the pole nearest the unit circle last; the gain
-    goes into section 0.
+    goes into section 0. All four z-plane poles of this design are complex
+    (0.911 +- 0.082j and -0.978 +- 0.022j), so each section is one conjugate
+    pair.
     """
-    n = order // 2  # the band-pass transform doubles the prototype's order
-    edges = np.array([low_hz, high_hz]) / (rate_hz / 2)
+    n = BANDPASS_ORDER // 2  # the band-pass transform doubles the prototype's order
+    edges = np.array([BANDPASS_LOW_HZ, BANDPASS_HIGH_HZ]) / (SAMPLE_RATE_HZ / 2)
     warped = 4.0 * np.tan(np.pi * edges / 2.0)
     bw = float(warped[1] - warped[0])
     wo = float(np.sqrt(warped[0] * warped[1]))
@@ -196,32 +182,20 @@ def _bandpass_sos(low_hz: float, high_hz: float, rate_hz: int, order: int) -> np
     sos = np.zeros((n, 6))
     for i in range(n - 1, -1, -1):
         j = np.argmin(np.abs(1 - np.abs(poles)))
-        p1 = poles[j]
+        p = poles[j]
         poles = np.delete(poles, j)
-        if np.isreal(p1):  # real poles come in pairs: take the next one nearest the circle
-            reals = np.flatnonzero(np.isreal(poles))
-            j = reals[np.argmin(np.abs(1 - np.abs(poles[reals])))]
-            p2 = poles[j]
-            poles = np.delete(poles, j)
-        else:
-            p2 = np.conj(p1)
-        nearest = np.argsort(np.abs(zeros - p1), kind="stable")[:2]
+        nearest = np.argsort(np.abs(zeros - p), kind="stable")[:2]
         sos[i, :3] = np.poly(zeros[nearest])
-        sos[i, 3:] = np.poly([p1, p2]).real
+        sos[i, 3:] = np.poly([p, np.conj(p)]).real
         zeros = np.delete(zeros, nearest)
     sos[0, :3] *= gain
     sos.flags.writeable = False
     return sos
 
 
-def design_bandpass(
-    low_hz: float = BANDPASS_LOW_HZ,
-    high_hz: float = BANDPASS_HIGH_HZ,
-    order: int = BANDPASS_ORDER,
-    rate_hz: int = SAMPLE_RATE_HZ,
-) -> np.ndarray:
+def design_bandpass() -> np.ndarray:
     """Second-order sections of the band-pass filter (bilinear-transform design)."""
-    return _bandpass_sos(*_check_design(low_hz, high_hz, order, rate_hz)).copy()
+    return _bandpass_sos().copy()
 
 
 def _sections_filter(sos: np.ndarray, x: np.ndarray, state: np.ndarray):
@@ -240,8 +214,8 @@ def _sections_filter(sos: np.ndarray, x: np.ndarray, state: np.ndarray):
     return y, z.reshape(len(x), -1)
 
 
-@lru_cache(maxsize=16)
-def _block_matrices(low_hz: float, high_hz: float, rate_hz: int, order: int):
+@cache
+def _block_matrices():
     """(resp, state_resp, state_in, carry): the band-pass over one
     `_FILTER_BLOCK`-sample block as linear maps of its input u and its initial
     state s (2 values a section). The block's output is
@@ -251,7 +225,7 @@ def _block_matrices(low_hz: float, high_hz: float, rate_hz: int, order: int):
     response. All four come from one run of the recursion over unit inputs
     and unit states.
     """
-    sos = _bandpass_sos(low_hz, high_hz, rate_hz, order)
+    sos = _bandpass_sos()
     b, s = _FILTER_BLOCK, 2 * len(sos)
     units = np.eye(b + s)
     y, final = _sections_filter(sos, units[:, :b], units[:, b:])
@@ -262,13 +236,7 @@ def _block_matrices(low_hz: float, high_hz: float, rate_hz: int, order: int):
     return mats
 
 
-def bandpass(
-    x: np.ndarray,
-    low_hz: float = BANDPASS_LOW_HZ,
-    high_hz: float = BANDPASS_HIGH_HZ,
-    order: int = BANDPASS_ORDER,
-    rate_hz: int = SAMPLE_RATE_HZ,
-) -> np.ndarray:
+def bandpass(x: np.ndarray) -> np.ndarray:
     """Causal Butterworth band-pass of the last axis of `x`, from zero state.
 
     The exact zero-state response of `design_bandpass`'s sections, computed
@@ -280,7 +248,7 @@ def bandpass(
     may not look ahead.
     """
     x = np.asarray(x, dtype=np.float64)
-    resp, state_resp, state_in, carry = _block_matrices(*_check_design(low_hz, high_hz, order, rate_hz))
+    resp, state_resp, state_in, carry = _block_matrices()
     n = x.shape[-1]
     if n <= _FILTER_BLOCK:
         return x @ resp[:n, :n]
@@ -296,18 +264,6 @@ def bandpass(
         if lo + w < n:
             state = u @ state_in if state is None else u @ state_in + state @ carry
     return y
-
-
-def bandpass_filter(
-    seg: Segment,
-    low_hz: float = BANDPASS_LOW_HZ,
-    high_hz: float = BANDPASS_HIGH_HZ,
-    order: int = BANDPASS_ORDER,
-    rate_hz: int = SAMPLE_RATE_HZ,
-) -> Segment:
-    """`bandpass` of one segment, applied independently per channel."""
-    filtered = bandpass(seg.data, low_hz, high_hz, order, rate_hz)
-    return Segment(data=filtered, start_index=seg.start_index, label=seg.label)
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -163,7 +163,7 @@ def _eval_stream(rng: np.random.Generator, profiles, cfg: SynthConfig, shift, ga
         mid = lo - ramp // 2 if b > 0 else lo
         labels[max(0, mid) :] = g
     samples = _to_int16(_apply_transform(signal, shift, gains))
-    return RawRecording(samples=samples, rate_hz=SAMPLE_RATE_HZ, labels=labels)
+    return RawRecording(samples=samples, labels=labels)
 
 
 def synth_generate(cfg: SynthConfig) -> list[SubjectData]:
@@ -186,7 +186,7 @@ def synth_generate(cfg: SynthConfig) -> list[SubjectData]:
                     raw = _gesture_block(rng, profiles[g], block_n, cfg.noise_scale)
                     samples = _to_int16(_apply_transform(raw, shift, gains))
                     labels = np.full(block_n, g, dtype=np.int64)
-                    cycle[g] = RawRecording(samples=samples, rate_hz=SAMPLE_RATE_HZ, labels=labels)
+                    cycle[g] = RawRecording(samples=samples, labels=labels)
                 cycles.append(cycle)
             evals = [
                 _eval_stream(rng, profiles, cfg, shift, gains)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DataError, NumericError, ParameterError
-from .nn import Network
+from .nn import EVAL_BATCH, Network
 from .optim import Adam
 
 CONVNET_LR = 0.001316
@@ -86,14 +85,14 @@ def stratified_split(y: np.ndarray, fraction: float, rng: np.random.Generator):
     return np.sort(np.array(train_idx)), np.sort(np.array(val_idx))
 
 
-def _eval_loss(model: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 1024) -> float:
+def _eval_loss(model: Network, x: np.ndarray, y: np.ndarray) -> float:
     was_training = model.training
     model.eval()
     try:
         with ad.no_grad():
             total = 0.0
-            for lo in range(0, len(x), batch_size):
-                xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
+            for lo in range(0, len(x), EVAL_BATCH):
+                xb, yb = x[lo : lo + EVAL_BATCH], y[lo : lo + EVAL_BATCH]
                 loss = ad.cross_entropy(model.logits(xb), yb)
                 total += float(loss.data) * len(xb)
             return total / len(x)
@@ -186,12 +185,3 @@ def fit(
     model.load_state_arrays(best_state)
     model.eval()
     return history
-
-
-def train_supervised(model: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
-    """Cross-entropy training with a seeded stratified 90/10 split.
-
-    Returns the trained model (best-validation parameters) and its history.
-    """
-    history = fit(model, x, y, cfg)
-    return model, history

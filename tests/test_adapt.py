@@ -11,17 +11,18 @@ from semgcal import (
     TrainConfig,
     UsageError,
     adabn_adapt,
-    conditional_entropy_loss,
     dann_train,
     dirt_t_refine,
     scadann_calibrate,
     vada_train,
     vat_loss,
 )
-from semgcal.adapt import _domain_loss, _np_log_softmax, mv_calibrate
-from semgcal.autodiff import Tensor
+from semgcal.adapt import _domain_loss, _np_log_softmax, mv_calibrate, prediction_stream
+from semgcal.autodiff import Tensor, entropy_of_softmax
 from semgcal.nn import BatchNorm, Linear, Network, build_spectrogram_convnet, build_tsd_dnn
-from semgcal.train import fit, train_supervised
+from semgcal.relabel import entropy_rows
+from semgcal.signal import STRIDE_MS
+from semgcal.train import fit
 
 
 def tcfg(seed=0, **kw):
@@ -49,27 +50,34 @@ def fisher_probe(x_fit, y_fit, x_eval):
     return ((x_eval - 0.5 * (means[0] + means[1])) @ w + log_prior > 0).astype(int)
 
 
+def mean_entropy(model, x) -> float:
+    """Mean Shannon entropy (nats) of the model's softmax rows on `x`."""
+    return float(np.mean(entropy_rows(model.predict_probs(x))))
+
+
 class TestConditionalEntropy:
+    """The conditional-entropy penalty VADA and DIRT-T minimize on target logits."""
+
+    def entropy(self, logits):
+        return float(entropy_of_softmax(Tensor(np.asarray(logits, dtype=np.float64))).data)
+
     def test_one_hot_rows_zero(self):
-        rows = np.eye(5)[[0, 2, 4]]
-        assert conditional_entropy_loss(rows) == pytest.approx(0.0, abs=1e-12)
+        logits = 100.0 * np.eye(5)[[0, 2, 4]]
+        assert self.entropy(logits) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_seven_classes_ln7(self):
-        rows = np.full((10, 7), 1 / 7)
-        assert conditional_entropy_loss(rows) == pytest.approx(np.log(7), abs=1e-9)
+        assert self.entropy(np.zeros((10, 7))) == pytest.approx(np.log(7), abs=1e-9)
 
     def test_mixed_batch_matches_per_row_oracle(self):
         rng = np.random.default_rng(0)
         raw = rng.random((20, 6))
         rows = raw / raw.sum(axis=1, keepdims=True)
         per_row = [-sum(p * np.log(p) for p in row if p > 0) for row in rows]
-        assert conditional_entropy_loss(rows) == pytest.approx(np.mean(per_row), rel=1e-9)
+        assert self.entropy(np.log(rows)) == pytest.approx(np.mean(per_row), rel=1e-9)
 
     def test_non_negative(self):
-        rng = np.random.default_rng(1)
-        raw = rng.random((50, 4))
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        assert conditional_entropy_loss(rows) >= 0.0
+        logits = np.random.default_rng(1).standard_normal((50, 4)) * 3.0
+        assert self.entropy(logits) >= 0.0
 
 
 def manual_kl(model, x, delta):
@@ -135,7 +143,7 @@ class TestDann:
         x_src, y_src, x_tgt, _ = cluster_task(seed=1)
         a = mini_net(seed=3, dropout=0.5)
         b = mini_net(seed=3, dropout=0.5)
-        train_supervised(a, x_src, y_src, tcfg(seed=5, max_epochs=6))
+        fit(a, x_src, y_src, tcfg(seed=5, max_epochs=6))
         dann_train(b, x_src, y_src, x_tgt, lambda_d=0.0, cfg=tcfg(seed=5, max_epochs=6))
         for name, arr in a.state_arrays().items():
             assert arr.tobytes() == b.state_arrays()[name].tobytes(), name
@@ -145,7 +153,7 @@ class TestDann:
         for seed in range(5):
             x_src, y_src, x_tgt, y_tgt = cluster_task(seed=seed, shift=2.0)
             base = mini_net(seed=seed)
-            train_supervised(base, x_src, y_src, tcfg(seed=seed, max_epochs=12))
+            fit(base, x_src, y_src, tcfg(seed=seed, max_epochs=12))
             nocal_acc = np.mean(base.predict(x_tgt) == y_tgt)
             adapted = base.clone()
             dann_train(adapted, x_src, y_src, x_tgt, lambda_d=0.1,
@@ -161,7 +169,7 @@ class TestDann:
         x_src, y_src, x_tgt, _ = cluster_task(seed=9, shift=3.0, n_per=80)
         half_s, half_t = len(x_src) // 2, len(x_tgt) // 2
         base = mini_net(seed=2)
-        train_supervised(base, x_src[:half_s], y_src[:half_s], tcfg(seed=2, max_epochs=10))
+        fit(base, x_src[:half_s], y_src[:half_s], tcfg(seed=2, max_epochs=10))
         adapted = base.clone()
         dann_train(adapted, x_src[:half_s], y_src[:half_s], x_tgt[:half_t], lambda_d=1.0,
                    cfg=tcfg(seed=4, max_epochs=30, learning_rate=0.01, early_stop_patience=30))
@@ -242,13 +250,13 @@ class TestVada:
     def test_target_entropy_decreases(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=4, shift=2.0, n_per=50)
         model = mini_net(seed=3)
-        train_supervised(model, x_src, y_src, tcfg(seed=3, max_epochs=8))
-        before = conditional_entropy_loss(model.predict_probs(x_tgt))
+        fit(model, x_src, y_src, tcfg(seed=3, max_epochs=8))
+        before = mean_entropy(model, x_tgt)
         acfg = AdaptConfig(lambda_d=1e-2, lambda_vs=0.1, lambda_vt=1e-2, lambda_c=0.5,
                            vat_epsilon=0.5)
         vada_train(model, x_src, y_src, x_tgt, acfg=acfg,
                    cfg=tcfg(seed=6, max_epochs=12, learning_rate=0.003))
-        after = conditional_entropy_loss(model.predict_probs(x_tgt))
+        after = mean_entropy(model, x_tgt)
         assert after < before
 
 
@@ -256,7 +264,7 @@ class TestDirtT:
     def test_huge_beta_anchors_parameters(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=5)
         model = mini_net(seed=4)
-        train_supervised(model, x_src, y_src, tcfg(seed=4, max_epochs=6))
+        fit(model, x_src, y_src, tcfg(seed=4, max_epochs=6))
         before = {k: v.copy() for k, v in model.state_arrays().items()}
         acfg = AdaptConfig(beta=1e6, lambda_vt=1e-2, lambda_c=1e-2, vat_epsilon=0.5,
                            dirt_t_iterations=1, dirt_t_steps_per_iter=1)
@@ -270,7 +278,7 @@ class TestDirtT:
     def test_small_beta_moves_parameters(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=5)
         model = mini_net(seed=4)
-        train_supervised(model, x_src, y_src, tcfg(seed=4, max_epochs=6))
+        fit(model, x_src, y_src, tcfg(seed=4, max_epochs=6))
         before = {k: v.copy() for k, v in model.state_arrays().items()}
         acfg = AdaptConfig(beta=1e-2, dirt_t_iterations=1)
         dirt_t_refine(model, x_tgt, acfg=acfg, cfg=tcfg(seed=8, learning_rate=1e-2))
@@ -283,14 +291,14 @@ class TestDirtT:
     def test_entropy_trend_across_iterations(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=6, shift=1.5, n_per=50)
         model = mini_net(seed=5)
-        train_supervised(model, x_src, y_src, tcfg(seed=5, max_epochs=10))
+        fit(model, x_src, y_src, tcfg(seed=5, max_epochs=10))
         vada_train(model, x_src, y_src, x_tgt, acfg=AdaptConfig(vat_epsilon=0.5),
                    cfg=tcfg(seed=7, max_epochs=6, learning_rate=0.003))
-        entropies = [conditional_entropy_loss(model.predict_probs(x_tgt))]
+        entropies = [mean_entropy(model, x_tgt)]
         acfg = AdaptConfig(beta=1e-2, vat_epsilon=0.5, dirt_t_iterations=1)
         for it in range(5):
             dirt_t_refine(model, x_tgt, acfg=acfg, cfg=tcfg(seed=20 + it, learning_rate=0.002))
-            entropies.append(conditional_entropy_loss(model.predict_probs(x_tgt)))
+            entropies.append(mean_entropy(model, x_tgt))
         assert entropies[-1] < entropies[0]
         assert all(b <= a * 1.05 for a, b in zip(entropies, entropies[1:]))
 
@@ -299,7 +307,7 @@ class TestAdaBn:
     def test_weights_bit_identical_stats_replaced(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=7)
         model = mini_net(seed=6)
-        train_supervised(model, x_src, y_src, tcfg(seed=6, max_epochs=6))
+        fit(model, x_src, y_src, tcfg(seed=6, max_epochs=6))
         adapted = adabn_adapt(model, x_tgt)
         before = model.state_arrays()
         after = adapted.state_arrays()
@@ -328,7 +336,7 @@ class TestAdaBn:
     def test_fixed_point_on_same_data(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=8)
         model = mini_net(seed=7)
-        train_supervised(model, x_src, y_src, tcfg(seed=7, max_epochs=5))
+        fit(model, x_src, y_src, tcfg(seed=7, max_epochs=5))
         once = adabn_adapt(model, x_tgt)
         twice = adabn_adapt(once, x_tgt)
         out1 = once.predict_probs(x_tgt)
@@ -349,7 +357,7 @@ class TestScadann:
         x_src, y_src, x_more, y_more = cluster_task(seed=10, shift=0.0, n_per=80)
         stream_x = np.repeat(x_more[np.argsort(y_more)], 1, axis=0)  # sorted = slow class changes
         model = mini_net(seed=9)
-        train_supervised(model, x_src, y_src, tcfg(seed=9, max_epochs=15))
+        fit(model, x_src, y_src, tcfg(seed=9, max_epochs=15))
         held_before = np.mean(model.predict(x_src) == y_src)
         preds_before = model.clone().predict(stream_x)
         res = scadann_calibrate(
@@ -367,7 +375,7 @@ class TestScadann:
     def test_empty_pseudo_labels_falls_back_to_step1(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=11)
         model = mini_net(seed=10)
-        train_supervised(model, x_src, y_src, tcfg(seed=10, max_epochs=5))
+        fit(model, x_src, y_src, tcfg(seed=10, max_epochs=5))
         short_stream = x_tgt[:10]  # shorter than the 30-segment window
         res = scadann_calibrate(model, x_src, y_src, [], short_stream,
                                 cfg=tcfg(seed=11, max_epochs=3))
@@ -378,7 +386,7 @@ class TestScadann:
         x_src, y_src, x_tgt, y_tgt = cluster_task(seed=12, n_per=60)
         stream_x = x_tgt[np.argsort(y_tgt)]
         model = mini_net(seed=11)
-        train_supervised(model, x_src, y_src, tcfg(seed=11, max_epochs=8))
+        fit(model, x_src, y_src, tcfg(seed=11, max_epochs=8))
         prior = (x_src[:25].copy(), y_src[:25].copy())
         seen_sizes = []
         real_fit = adapt_mod.fit
@@ -396,6 +404,13 @@ class TestScadann:
         assert seen_sizes[0] == len(x_src)
         assert seen_sizes[1] == len(x_src) + 25
 
+    def test_prediction_stream_is_eval_softmax_one_stride_apart(self):
+        _, _, x_stream, _ = cluster_task(seed=14)
+        model = mini_net(seed=12)
+        stream = prediction_stream(model, x_stream)
+        assert stream.stride_ms == STRIDE_MS
+        assert np.array_equal(stream.rows, model.predict_probs(x_stream).astype(np.float64))
+
     def test_empty_source_rejected(self):
         model = mini_net(seed=0)
         with pytest.raises(DataError):
@@ -408,7 +423,7 @@ class TestMvCalibrate:
         x_src, y_src, x_tgt, y_tgt = cluster_task(seed=13, shift=1.0, n_per=60)
         stream_x = x_tgt[np.argsort(y_tgt)]
         model = mini_net(seed=12)
-        train_supervised(model, x_src, y_src, tcfg(seed=12, max_epochs=10))
+        fit(model, x_src, y_src, tcfg(seed=12, max_epochs=10))
         before = np.mean(model.predict(x_tgt) == y_tgt)
         calibrated, pooled = mv_calibrate(model.clone(), x_src, y_src, [stream_x],
                                           cfg=tcfg(seed=14, max_epochs=8, learning_rate=0.002))

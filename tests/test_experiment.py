@@ -37,7 +37,7 @@ from semgcal.experiment import (
 from semgcal.relabel import HeuristicConfig
 from semgcal.signal import RawRecording, segment_stream
 from semgcal.synth import SessionData, SynthConfig, synth_generate
-from semgcal.train import default_train_config
+from semgcal.train import CONVNET_LR, default_train_config
 
 
 def tiny_synth(subjects=2, sessions=2, gestures=7, seed=3, **kw):
@@ -504,6 +504,19 @@ class TestFromOverrides:
         assert cfg.harness.train.max_epochs == 3
         assert cfg.harness.adapt_train == base.harness.adapt_train
 
+    def test_input_kind_override_sets_its_network_rate(self):
+        base = BenchmarkConfig()
+        cfg = from_overrides(base, {"harness": {"input_kind": "spectrogram"}})
+        assert cfg.harness.train == dataclasses.replace(base.harness.train, learning_rate=CONVNET_LR)
+        assert cfg.harness.adapt_train == base.harness.adapt_train
+        back = from_overrides(cfg, {"harness": {"input_kind": "tsd"}})
+        assert back == base
+
+    def test_explicit_rate_survives_input_kind_override(self):
+        cfg = from_overrides(BenchmarkConfig(), {
+            "harness": {"input_kind": "spectrogram", "train": {"learning_rate": 0.01}}})
+        assert cfg.harness.train.learning_rate == 0.01
+
     @pytest.mark.parametrize("overrides", [{}, {"synth": {}, "harness": {}}], ids=["none", "empty"])
     def test_no_overrides_keep_config_digest(self, overrides):
         base = BenchmarkConfig(seed=4)
@@ -564,6 +577,20 @@ def small_benchmark_cfg(seed=9):
     )
     cfg.harness = tiny_harness(algorithms=("nocal", "adabn"))
     return cfg
+
+
+class TestRunBenchmark:
+    @pytest.mark.parametrize("synth_gestures, harness_gestures", [(5, 11), (7, 11), (11, 7)])
+    def test_gesture_mismatch_raises_before_synthesis(self, monkeypatch, synth_gestures,
+                                                      harness_gestures):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg = from_overrides(BenchmarkConfig(), {"synth": {"gestures": synth_gestures},
+                                                 "harness": {"gestures": harness_gestures}})
+        with pytest.raises(ParameterError, match="synth.gestures"):
+            run_benchmark(cfg)
 
 
 class TestBenchmarkReport:

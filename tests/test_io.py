@@ -206,7 +206,7 @@ class TestDatasetRoundTrip:
 class TestReports:
     def test_report_round_trip_and_schema(self, tmp_path):
         report = {"seed": 1, "accuracy": {"0": {"algorithms": ["a"], "matrix": [[0.5]]}}}
-        path = save_report(report, tmp_path, accuracy_tables=report["accuracy"])
+        path = save_report(report, tmp_path)
         loaded = load_report(path)
         assert loaded["schema_version"] == 1
         matrix = loaded["accuracy"]["0"]["matrix"]
@@ -394,6 +394,39 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers!r}\n"
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("gestures", [5, 7])
+    def test_evaluate_synth_gestures_unlike_harness_exits_1_before_anything_runs(
+            self, tmp_path, capsys, monkeypatch, gestures):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"synth": {"gestures": gestures}}))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: synth.gestures {gestures} != harness.gestures 11")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("kind", ["spectrogram", "tsd"])
+    def test_evaluate_input_kind_from_file_equals_the_flag(self, tmp_path, monkeypatch, kind):
+        seen = []
+
+        def stop(cfg, out_dir):
+            seen.append(cfg)
+            raise SemgCalError("stopped before the study")
+
+        monkeypatch.setattr(cli, "benchmark_report", stop)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"harness": {"input_kind": kind}}))
+        out = ["--out", str(tmp_path / "report")]
+        assert main(["evaluate", "--config", str(cfg_path), *out]) == 1
+        assert main(["evaluate", "--input-kind", kind, *out]) == 1
+        from_file, from_flag = seen
+        assert from_file == from_flag
+        network = "tsd_dnn" if kind == "tsd" else "spectrogram_convnet"
+        assert from_file.harness.train.learning_rate == default_train_config(network).learning_rate
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                              ids=["missing", "malformed", "not-an-object"])

@@ -53,7 +53,7 @@ def window_triples(draw):
 @settings(max_examples=150, deadline=None)
 def test_segment_count_formula(triple):
     t, w, s = triple
-    rec = RawRecording(samples=np.zeros((10, t), dtype=np.int16), rate_hz=1000)
+    rec = RawRecording(samples=np.zeros((10, t), dtype=np.int16))
     segments = segment_stream(rec, window_ms=w, overlap_ms=w - s)
     starts = list(range(0, t - w + 1, s))
     assert len(segments) == len(starts) == (t - w) // s + 1

@@ -15,6 +15,7 @@ from semgcal import (
     mv_relabel,
 )
 from semgcal.relabel import entropy_rows
+from semgcal.signal import SAMPLE_RATE_HZ, STRIDE_MS, RawRecording, segment_stream
 
 
 def confident_rows(labels, p=0.95, classes=7):
@@ -63,6 +64,15 @@ class TestPredictionStream:
     def test_predictions_argmax(self):
         s = stream_of([0, 3, 6])
         assert s.predictions.tolist() == [0, 3, 6]
+
+    def test_default_stride_is_the_window_stride(self):
+        # one row per segment_stream window: the heuristics' seconds count
+        # windows at the stride that cut them
+        rec = RawRecording(samples=np.zeros((10, 400), dtype=np.int16))
+        first, second = segment_stream(rec)[:2]
+        step_ms = (second.start_index - first.start_index) * 1000 // SAMPLE_RATE_HZ
+        assert stream_of([0, 1]).stride_ms == STRIDE_MS == step_ms
+        assert HeuristicConfig().segments(1.0, stream_of([0]).stride_ms) == 20
 
 
 class TestMvRelabel:
@@ -281,19 +291,14 @@ class TestGeneratePseudoLabels:
         assert hcfg.segments(hcfg.max_len_unstable_s, 50) == 40
         assert hcfg.segments(1.0, 50) == 20
 
-    def test_json_serialization_includes_dropped_ranges(self):
+    def test_oscillation_is_a_dropped_range(self):
         rows = np.vstack([
             confident_rows([0] * 80, p=0.95),
             confident_rows([(1, 2)[i % 2] for i in range(60)], p=0.3),
             confident_rows([2] * 80, p=0.95),
         ])
         out = generate_pseudo_labels(PredictionStream(rows=rows), hcfg7())
-        payload = out.to_json_dict()
-        assert payload["length"] == 220
-        assert payload["kept"] == out.kept_count
-        assert payload["dropped_ranges"]
-        lo, hi = payload["dropped_ranges"][0]
+        assert out.length == 220
+        assert out.dropped_ranges
+        lo, hi = out.dropped_ranges[0]
         assert lo <= 80 and hi >= 140
-        import json
-
-        json.dumps(payload)  # JSON-clean

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from semgcal import Adam, DataError, NumericError, TrainConfig, build_tsd_dnn, train_supervised
+from semgcal import Adam, DataError, NumericError, TrainConfig, build_tsd_dnn, fit
 from semgcal.autodiff import Tensor, mean_all, mul, sum_all
-from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, fit, stratified_split
+from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, stratified_split
 
 
 class TestAdam:
@@ -94,12 +94,12 @@ class TestStratifiedSplit:
         assert len(va) >= 1
 
 
-class TestTrainSupervised:
+class TestFit:
     def test_separable_data_reaches_99_percent(self):
         x, y = separable_tsd_data(seed=3)
         model = build_tsd_dnn(11, seed=0)
         cfg = TrainConfig(learning_rate=TSD_DNN_LR, batch_size=64, max_epochs=40, seed=1)
-        model, history = train_supervised(model, x, y, cfg)
+        history = fit(model, x, y, cfg)
         acc = np.mean(model.predict(x) == y)
         assert acc >= 0.99
         assert history.best_epoch >= 0
@@ -109,7 +109,7 @@ class TestTrainSupervised:
         model = build_tsd_dnn(11, seed=2)
         cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=25, seed=7,
                           early_stop_patience=25, anneal_patience=26 - 1)
-        model, history = train_supervised(model, x, y, cfg)
+        history = fit(model, x, y, cfg)
         val_losses = [e.val_loss for e in history.epochs]
         best = history.best_val_loss
         assert best == min(val_losses)
@@ -124,9 +124,9 @@ class TestTrainSupervised:
         x, y = separable_tsd_data(seed=1, classes=2)
         model = build_tsd_dnn(11, seed=0)
         with pytest.raises(DataError):
-            train_supervised(model, x, np.where(y == 1, 42, 0), TrainConfig())
+            fit(model, x, np.where(y == 1, 42, 0), TrainConfig())
         with pytest.raises(DataError):
-            train_supervised(model, x[:0], y[:0], TrainConfig())
+            fit(model, x[:0], y[:0], TrainConfig())
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_inputs_rejected_before_training(self, bad):
@@ -156,7 +156,7 @@ class TestTrainSupervised:
         x, y = separable_tsd_data(seed=6, n_per_class=12, classes=4)
         model = build_tsd_dnn(11, seed=0)
         cfg = TrainConfig(learning_rate=TSD_DNN_LR, batch_size=16, max_epochs=3, seed=5)
-        _, history = train_supervised(model, x, y, cfg)
+        history = fit(model, x, y, cfg)
         assert len(history.epochs) >= 1
 
     def test_bit_identical_reproducibility(self):
@@ -166,7 +166,7 @@ class TestTrainSupervised:
 
         def run():
             model = build_tsd_dnn(11, seed=4)
-            train_supervised(model, x, y, cfg)
+            fit(model, x, y, cfg)
             return model.state_arrays()
 
         a, b = run(), run()
@@ -178,7 +178,7 @@ class TestTrainSupervised:
         model = build_tsd_dnn(11, seed=1)
         cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=30, seed=3,
                           early_stop_patience=30 - 1, anneal_patience=2)
-        _, history = train_supervised(model, x, y, cfg)
+        history = fit(model, x, y, cfg)
         lrs = [e.lr for e in history.epochs]
         assert min(lrs) < 0.5  # at least one anneal happened at lr/5 steps
         assert any(abs(l - 0.1) < 1e-9 or l < 0.1 for l in lrs)
