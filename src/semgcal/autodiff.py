@@ -5,6 +5,13 @@ calling `backward()` on a scalar loss walks the tape in reverse topological
 order and accumulates gradients into every reachable tensor that requires
 them. Only the operations needed by the two network architectures and the
 adaptation losses are implemented.
+
+The walk releases the graph as it goes, as PyTorch's autograd does without
+`retain_graph` (Paszke et al. 2019): once a node's closure has run, the node
+drops its gradient, its parents and the closure, and with the closure every
+array the forward pass saved for it. Only the leaves (parameters and other
+tensors created with `requires_grad=True`) keep their gradients. So
+`backward()` runs once per graph; a second call raises `UsageError`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -47,6 +54,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        # True once a backward() walk has released this node's graph state.
+        self._released = False
 
     @property
     def shape(self):
@@ -76,6 +85,15 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf reachable on the tape.
+
+        Each non-leaf node is released as soon as its closure has run: its
+        `grad`, `_parents` and `_backward` are cleared, which frees the
+        gradient and the arrays the closure saved. The leaves keep their
+        gradients. A graph can therefore be walked once; calling `backward()`
+        again on it, or on any graph that shares a released node, raises
+        `UsageError` before any gradient changes.
+        """
         if self.data.size != 1:
             raise UsageError("backward() requires a scalar loss")
         if self._backward is None and not self.requires_grad:
@@ -90,15 +108,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._released:
+                raise UsageError("backward() on a graph already released by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = None
+            node._released = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -263,13 +290,21 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         kept = (rng.random((shape[1], shape[0], *shape[2:])) >= p).transpose(1, 0, 2, 3)
     else:
         kept = rng.random(shape) >= p
-    keep = kept.astype(a.data.dtype, order="C")
-    keep /= 1.0 - p
+    # The graph saves the one-byte mask. Each pass rebuilds the float factor
+    # kept / (1 - p) and multiplies it into its input in place: the bits of
+    # x * factor, as multiplication commutes.
+    kept = np.ascontiguousarray(kept)
+
+    def times_factor(x):
+        out = kept.astype(a.data.dtype)
+        out /= 1.0 - p
+        out *= x
+        return out
 
     def backward(g):
-        a._accumulate(g * keep, owned=True)
+        a._accumulate(times_factor(g), owned=True)
 
-    return _make(a.data * keep, (a,), backward)
+    return _make(times_factor(a.data), (a,), backward)
 
 
 def gradient_reversal(a: Tensor, lambda_d: float = 1.0) -> Tensor:

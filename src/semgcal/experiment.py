@@ -363,7 +363,6 @@ def _run_in_children(dataset: list[SubjectData], cfg: HarnessConfig, master_seed
     lock, started, stopped = threading.Lock(), [], threading.Event()
 
     def run_child(sd: SubjectData) -> SubjectResult | None:
-        request = pickle.dumps((sd, cfg, master_seed), protocol=pickle.HIGHEST_PROTOCOL)
         with lock:
             if stopped.is_set():
                 return None
@@ -371,7 +370,14 @@ def _run_in_children(dataset: list[SubjectData], cfg: HarnessConfig, master_seed
                                     stderr=subprocess.PIPE, env=env)
             started.append(proc)
         with proc:
-            out, err = proc.communicate(request)
+            # The request is pickled straight into the pipe, never held whole
+            # in memory. `communicate` closes stdin itself (it fails on a
+            # stdin already closed) and reads the reply.
+            try:
+                pickle.dump((sd, cfg, master_seed), proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            except OSError:
+                pass  # the child is gone; its exit status and stderr say why
+            out, err = proc.communicate()
         return _child_outcome(sd.subject, proc.returncode, out, err)
 
     with ThreadPoolExecutor(max_workers=min(cfg.workers, len(dataset))) as pool:

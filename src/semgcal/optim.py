@@ -34,8 +34,15 @@ class Adam:
                 continue
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {k}")
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            m_hat = self.m[k] / (1.0 - b1 ** self.t)
-            v_hat = self.v[k] / (1.0 - b2 ** self.t)
+            # The moments are updated in place, in the order of operations of
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g.
+            m, v = self.m[k], self.v[k]
+            m *= b1
+            m += (1.0 - b1) * g
+            sq = (1.0 - b2) * g
+            sq *= g
+            v *= b2
+            v += sq
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

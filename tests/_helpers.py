@@ -2,7 +2,20 @@
 
 import numpy as np
 
+from semgcal.autodiff import Tensor
 from semgcal.nn import BatchNorm, Dropout, LeakyReLU, Linear, Network
+
+
+def graph_tensors(loss: Tensor) -> list[Tensor]:
+    """Every tensor reachable from `loss` on the tape."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
 
 
 def mini_net(in_dim=16, hidden=24, classes=4, seed=0, dropout=0.0, with_bn=True, dtype=np.float32):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _helpers import cluster_task, mini_net
+from _helpers import cluster_task, graph_tensors, mini_net
 
 import semgcal.adapt as adapt_mod
 from semgcal import (
@@ -437,18 +437,6 @@ class TestMvCalibrate:
             mv_calibrate(model, np.zeros((4, 16), np.float32), np.zeros(4, np.int64), [])
 
 
-def _graph_tensors(loss: Tensor) -> list[Tensor]:
-    """Every tensor reachable from `loss` on the tape."""
-    seen, stack, nodes = set(), [loss], []
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-    return nodes
-
-
 def _copying_accumulate(self, g, owned=False):
     """`Tensor._accumulate` as it was before it took ownership of fresh
     gradients, kept as an oracle: every first gradient is copied."""
@@ -481,18 +469,29 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("kind", sorted(_ARCHITECTURES))
     @pytest.mark.parametrize("algo", ["dann", "vada"])
     def test_no_gradient_shares_memory(self, monkeypatch, kind, algo):
-        original = Tensor.backward
-        graphs = []
+        # backward() releases every non-leaf gradient as it walks, so the
+        # nodes are collected before the walk and each gradient array is
+        # recorded, and kept alive, when `_accumulate` first sets it.
+        original_backward, original_accumulate = Tensor.backward, Tensor._accumulate
+        graphs, recorded = [], []
+
+        def recording_accumulate(self, g, owned=False):
+            first = self.grad is None
+            original_accumulate(self, g, owned)
+            if first:
+                recorded.append(self.grad)
 
         def checked_backward(self):
-            original(self)
-            nodes = _graph_tensors(self)
-            grads = [t.grad for t in nodes if t.grad is not None]
+            nodes = graph_tensors(self)
+            recorded.clear()
+            original_backward(self)
+            grads = list(recorded)
             for i, g in enumerate(grads):
                 assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
                 assert not any(np.shares_memory(g, t.data) for t in nodes)
             graphs.append(len(grads))
 
+        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
         monkeypatch.setattr(Tensor, "backward", checked_backward)
         build, _ = _ARCHITECTURES[kind]
         x_src, y_src, x_tgt = _arch_task(kind)

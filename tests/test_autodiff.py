@@ -4,13 +4,19 @@ All checks run in 64-bit mode with central differences (h = 1e-3) and demand
 relative error <= 1e-4 on sampled coordinates.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from _helpers import graph_tensors
 
 from semgcal import UsageError
+from semgcal.adapt import _domain_loss
 from semgcal.autodiff import (
     Tensor,
     _channel_major,
+    _make,
+    add,
     batch_norm,
     concat,
     conv2d,
@@ -31,6 +37,7 @@ from semgcal.autodiff import (
     sum_all,
     sum_axis,
 )
+from semgcal.nn import build_spectrogram_convnet, build_tsd_dnn
 
 H = 1e-3
 REL_TOL = 1e-4
@@ -339,3 +346,167 @@ class TestBackwardContracts:
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 2.0)  # inverted scaling 1/(1-p)
         assert abs(out.data.mean() - 1.0) < 0.05
+
+
+def _retaining_backward(loss: Tensor):
+    """`Tensor.backward` as it was before the walk released the graph, kept
+    as an oracle: every closure runs once, in the same order, and every
+    node keeps its gradient, parents and closure."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _network(kind: str, seed: int = 0):
+    build = {"tsd_dnn": build_tsd_dnn, "spectrogram_convnet": build_spectrogram_convnet}[kind]
+    return build(7, seed=seed).train()
+
+
+def _step_loss(model, batch: int, seed: int = 0) -> Tensor:
+    """The loss of one training step: the gesture cross-entropy of a TSD DNN,
+    or a ConvNet DANN step's gesture plus domain loss (two feature passes
+    on one tape)."""
+    data = np.random.default_rng(seed + 1)
+    shape = (batch, *model.input_shape)
+    x = data.standard_normal(shape).astype(np.float32)
+    y = data.integers(0, 7, batch)
+    rng = np.random.default_rng(seed + 2)
+    feats = model.features(x, rng=rng)
+    loss = cross_entropy(model.head_logits(feats, "gesture"), y)
+    if model.kind == "spectrogram_convnet":
+        x_tgt = data.standard_normal(shape).astype(np.float32)
+        dom, _ = _domain_loss(model, rng, feats, x_tgt, 0.1)
+        loss = add(loss, dom)
+    return loss
+
+
+_STEPS = [("tsd_dnn", 64), ("spectrogram_convnet", 8)]
+
+
+class TestGraphRelease:
+    """backward() releases each non-leaf node once its closure has run."""
+
+    @pytest.mark.parametrize("kind, batch", _STEPS)
+    def test_non_leaf_nodes_hold_nothing_after_backward(self, kind, batch):
+        model = _network(kind)
+        loss = _step_loss(model, batch)
+        nodes = graph_tensors(loss)
+        inner = [t for t in nodes if t._backward is not None]
+        leaves = [t for t in nodes if t._backward is None]
+        assert len(inner) > 10
+        loss.backward()
+        for t in inner:
+            assert t.grad is None and t._parents == () and t._backward is None
+        # The leaves are the parameters on the tape (a TSD gesture step
+        # leaves the domain head off), and they keep their gradients.
+        params = {id(p) for p in model.named_parameters().values()}
+        assert leaves and {id(t) for t in leaves} <= params
+        assert all(t.grad is not None for t in leaves)
+
+    @pytest.mark.parametrize("kind, batch", _STEPS)
+    def test_leaf_gradients_equal_the_retaining_walk(self, kind, batch):
+        model, oracle_model = _network(kind), _network(kind)
+        loss, oracle_loss = _step_loss(model, batch), _step_loss(oracle_model, batch)
+        np.testing.assert_array_equal(loss.data, oracle_loss.data)
+        loss.backward()
+        _retaining_backward(oracle_loss)
+        oracle = oracle_model.named_parameters()
+        with_grads = 0
+        for name, p in model.named_parameters().items():
+            assert (p.grad is None) == (oracle[name].grad is None), name
+            if p.grad is not None:
+                np.testing.assert_array_equal(p.grad, oracle[name].grad, err_msg=name)
+                assert p.grad.dtype == oracle[name].grad.dtype
+                with_grads += 1
+        assert with_grads >= 8
+
+    def test_second_backward_raises_and_leaves_gradients(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        z = sum_all(mul(leaky_relu(x), leaky_relu(x)))
+        z.backward()
+        np.testing.assert_allclose(x.grad, [2.0, -0.04])
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="released by an earlier backward"):
+            z.backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_backward_through_a_released_node_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        h = leaky_relu(x)
+        sum_all(h).backward()
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="released by an earlier backward"):
+            sum_all(mul(h, h)).backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_leaf_loss_keeps_its_gradient(self):
+        theta = Tensor(np.array(3.0), requires_grad=True)
+        theta.backward()
+        theta.backward()
+        np.testing.assert_array_equal(theta.grad, 1.0)
+
+    def test_convnet_dann_step_holds_only_the_parameter_gradients(self):
+        model = _network("spectrogram_convnet")
+        _step_loss(model, 32).backward()  # first-call allocations stay out of the measurement
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = _step_loss(model, 32, seed=1)
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loss.data.size == 1
+        grads = sum(p.grad.nbytes for p in model.named_parameters().values())
+        assert held <= grads + 64 * 1024
+
+
+def _float_factor_dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """`dropout` as it was when the graph saved the float keep factor, kept
+    as an oracle."""
+    shape = a.data.shape
+    if a.data.ndim == 4:
+        kept = (rng.random((shape[1], shape[0], *shape[2:])) >= p).transpose(1, 0, 2, 3)
+    else:
+        kept = rng.random(shape) >= p
+    keep = kept.astype(a.data.dtype, order="C")
+    keep /= 1.0 - p
+
+    def backward(g):
+        a._accumulate(g * keep, owned=True)
+
+    return _make(a.data * keep, (a,), backward)
+
+
+class TestDropoutMask:
+    @pytest.mark.parametrize("shape", [(64, 200), (16, 9, 7, 20)], ids=["2d", "channel-major-4d"])
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_bits_equal_the_float_factor_version(self, shape, p):
+        data = np.random.default_rng(5)
+        x = data.standard_normal(shape).astype(np.float32)
+        upstream = data.standard_normal(shape).astype(np.float32)
+        outs, grads = [], []
+        for op in (dropout, _float_factor_dropout):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = op(t, p, np.random.default_rng(6))
+            sum_all(mul(out, Tensor(upstream))).backward()
+            outs.append(out.data)
+            grads.append(t.grad)
+        np.testing.assert_array_equal(outs[0], outs[1])
+        np.testing.assert_array_equal(grads[0], grads[1])
+        assert outs[0].dtype == outs[1].dtype and grads[0].dtype == grads[1].dtype

@@ -412,6 +412,27 @@ class TestChildProcesses:
         assert message.startswith(f"subject {tiny_dataset[1].subject}: worker process {how}")
         assert message.endswith("worker gave up")
 
+    def test_a_child_dead_before_reading_its_request(self, tiny_dataset, monkeypatch):
+        # The request is written into a pipe that has no reader left, so the
+        # write fails; the study still ends in the child's own failure.
+        real_popen = subprocess.Popen
+
+        def exits_at_once(cmd, **kwargs):
+            proc = real_popen([sys.executable, "-c",
+                               "import sys; sys.stderr.write('worker gave up'); sys.exit(3)"], **kwargs)
+            proc.wait()
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", exits_at_once)
+        cfg = quick_harness(workers=1)
+        assert len(pickle.dumps((tiny_dataset[0], cfg, 5))) > 1 << 16  # more than a pipe holds
+        with pytest.raises(SemgCalError) as exc:
+            run_experiment(tiny_dataset, cfg, master_seed=5)
+        assert type(exc.value) is SemgCalError
+        message = str(exc.value)
+        assert message.startswith(f"subject {tiny_dataset[0].subject}: worker process exited with status 3")
+        assert message.endswith("worker gave up")
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failure_stops_the_other_children(self, tiny_dataset, workers):
         # With 1 worker the second child does not start (or is killed if it

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from semgcal import Adam, DataError, NumericError, TrainConfig, build_tsd_dnn, fit
-from semgcal.autodiff import Tensor, mean_all, mul, sum_all
+from semgcal.autodiff import Tensor, cross_entropy, mean_all, mul, sum_all
+from semgcal.nn import build_spectrogram_convnet
+from semgcal.optim import BETA1, BETA2, EPS
 from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, stratified_split
 
 
@@ -44,6 +46,47 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.1)
         with pytest.raises(NumericError):
             opt.step()
+
+
+def _frozen_adam_step(opt: Adam):
+    """`Adam.step` as it was before it updated the moments in place, kept as
+    an oracle (finite gradients only)."""
+    opt.t += 1
+    b1, b2 = BETA1, BETA2
+    for k, p in opt.params.items():
+        g = p.grad
+        if g is None:
+            continue
+        opt.m[k] = b1 * opt.m[k] + (1.0 - b1) * g
+        opt.v[k] = b2 * opt.v[k] + (1.0 - b2) * g * g
+        m_hat = opt.m[k] / (1.0 - b1 ** opt.t)
+        v_hat = opt.v[k] / (1.0 - b2 ** opt.t)
+        p.data = p.data - opt.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+class TestAdamInPlaceMoments:
+    @pytest.mark.parametrize("build, batch", [(build_tsd_dnn, 32), (build_spectrogram_convnet, 4)],
+                             ids=["tsd_dnn", "spectrogram_convnet"])
+    def test_twenty_steps_equal_the_frozen_step(self, build, batch):
+        models = [build(7, seed=3).train() for _ in range(2)]
+        opts = [Adam(m.named_parameters(), lr=0.002) for m in models]
+        data = np.random.default_rng(4)
+        for _ in range(20):
+            x = data.standard_normal((batch, *models[0].input_shape)).astype(np.float32)
+            y = data.integers(0, 7, batch)
+            for model, opt in zip(models, opts):
+                opt.zero_grad()
+                cross_entropy(model.logits(x, rng=np.random.default_rng(5)), y).backward()
+            before = {k: p.data for k, p in opts[0].params.items()}
+            opts[0].step()
+            _frozen_adam_step(opts[1])
+            for k, p in opts[0].params.items():
+                # The parameter is rebound to a new array; the old one is untouched.
+                assert p.data is not before[k] or p.grad is None
+                np.testing.assert_array_equal(p.data, opts[1].params[k].data, err_msg=k)
+                np.testing.assert_array_equal(opts[0].m[k], opts[1].m[k], err_msg=k)
+                np.testing.assert_array_equal(opts[0].v[k], opts[1].v[k], err_msg=k)
+                assert opts[0].m[k].dtype == opts[1].m[k].dtype == p.data.dtype
 
 
 class TestTrainConfig:
