@@ -286,6 +286,7 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
                     loss = ad.add(loss, ad.mul(vat_loss(model, xb, acfg.vat_epsilon, acfg.vat_xi, rng), acfg.lambda_vt))
                 loss.backward()
                 opt.step()
+        model.zero_grad()  # so neither the next teacher nor the result copies them
     model.eval()
     return model
 

@@ -12,6 +12,12 @@ drops its gradient, its parents and the closure, and with the closure every
 array the forward pass saved for it. Only the leaves (parameters and other
 tensors created with `requires_grad=True`) keep their gradients. So
 `backward()` runs once per graph; a second call raises `UsageError`.
+
+What a closure saves is kept small: it refers to its parents' arrays and to
+its own output rather than copying them, and recomputes what it can from
+them (`conv2d` gathers its im2col columns again). Beyond those, the only
+activation-sized arrays any op saves are batch norm's `xhat` and dropout's
+one-byte mask; the softmax family saves arrays of the logits' (N, K) size.
 """
 
 from __future__ import annotations
@@ -363,6 +369,19 @@ def _channel_major(x: Tensor) -> Tensor:
     return _make(x.data.transpose(1, 0, 2, 3), (x,), backward)
 
 
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The channel-major im2col matrix `cols_t` of shape (C*kh*kw, N*oh*ow)
+    of x (C, N, H, W): one slice copy per kernel offset (i, j), each moving
+    contiguous rows of `ow` values."""
+    c, n, h, wd = x.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    cols_t = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols_t[:, i, j] = x[:, :, i : i + oh, j : j + ow]
+    return cols_t.reshape(c * kh * kw, n * oh * ow)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Valid (no padding), stride-1 2-D convolution via channel-major im2col.
 
@@ -370,14 +389,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     Activations stay channel-major through the whole conv stack (Dumoulin &
     Visin 2016), so neither pass transposes them.
 
-    The columns are gathered as `cols_t` of shape (C*kh*kw, N*oh*ow): one
-    slice copy per kernel offset (i, j) straight from `x`, each moving
-    contiguous rows of `ow` values, so the forward pass is the single GEMM
-    `w_flat @ cols_t` whose rows are already the output's channels
-    (Chellapilla et al. 2006). The backward pass reads the output gradient
-    as (O, N*oh*ow), reuses `cols_t` for the kernel gradient and scatters the
-    column gradient back with one slab add per kernel offset (col2im). The
-    bias gradient is a `_chan_sum`.
+    The forward pass gathers the columns `cols_t` straight from `x`, so it
+    is the single GEMM `w_flat @ cols_t` whose rows are already the output's
+    channels (Chellapilla et al. 2006), and drops them. The backward pass
+    reads the output gradient as (O, N*oh*ow) and, only when the kernel
+    needs a gradient, gathers the columns again from the input array the
+    node already holds (Chen et al. 2016 trade this recomputation for
+    memory): the same bytes in the same layout, so the kernel gradient
+    `g_t @ cols_t.T` has the bits it would have had from saved columns. They
+    are freed before the column gradient is scattered back with one slab
+    add per kernel offset (col2im). The bias gradient is a `_chan_sum`.
     """
     c, n, h, wd = x.data.shape
     o, c2, kh, kw = w.data.shape
@@ -386,20 +407,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     oh, ow = h - kh + 1, wd - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{wd})")
-    cols_t = np.empty((c, kh, kw, n, oh, ow), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols_t[:, i, j] = x.data[:, :, i : i + oh, j : j + ow]
-    cols_t = cols_t.reshape(c * kh * kw, n * oh * ow)
     w_flat = w.data.reshape(o, -1)
-    out_data = (w_flat @ cols_t).reshape(o, n, oh, ow)
+    out_data = (w_flat @ _columns(x.data, kh, kw)).reshape(o, n, oh, ow)
     if b is not None:
         out_data = out_data + b.data[:, None, None, None]
 
     def backward(g):
         g_t = g.reshape(o, n * oh * ow)
         if w.requires_grad:
-            w._accumulate((g_t @ cols_t.T).reshape(w.data.shape), owned=True)
+            w._accumulate((g_t @ _columns(x.data, kh, kw).T).reshape(w.data.shape), owned=True)
         if b is not None and b.requires_grad:
             b._accumulate(_chan_sum(g), owned=True)
         if x.requires_grad:

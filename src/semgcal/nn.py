@@ -217,20 +217,29 @@ class Network:
         feats = self.features(x, rng=rng)
         return self.head_logits(feats, head, grl_lambda=grl_lambda)
 
-    def head_logits(self, feats: Tensor, head: str, grl_lambda: float | None = None) -> Tensor:
-        ctx = _Ctx(self.training, None)
+    def _head(self, head: str) -> Linear:
         if head == "gesture":
-            return self.gesture_head(feats, ctx)
+            return self.gesture_head
         if head == "domain":
             if self.domain_head is None:
                 raise UsageError("this network has no domain head")
-            if grl_lambda is not None:
-                feats = ad.gradient_reversal(feats, grl_lambda)
-            return self.domain_head(feats, ctx)
+            return self.domain_head
         raise UsageError(f"unknown head {head!r}")
 
+    def head_logits(self, feats: Tensor, head: str, grl_lambda: float | None = None) -> Tensor:
+        layer = self._head(head)
+        if head == "domain" and grl_lambda is not None:
+            feats = ad.gradient_reversal(feats, grl_lambda)
+        return layer(feats, _Ctx(self.training, None))
+
     def predict_probs(self, x: np.ndarray, head: str = "gesture") -> np.ndarray:
-        """Eval-mode softmax rows, computed off-graph in batches of `EVAL_BATCH`."""
+        """Eval-mode softmax rows, computed off-graph in batches of `EVAL_BATCH`.
+
+        Zero rows give a (0, K) float32 array, K the width of `head`.
+        """
+        if len(x) == 0:
+            self.layer_input(x)  # the shape check every batch gets
+            return np.zeros((0, self._head(head).w.data.shape[0]), dtype=np.float32)
         was_training = self.training
         self.eval()
         try:

@@ -246,6 +246,11 @@ def bandpass(x: np.ndarray) -> np.ndarray:
     the filter state from one block to the next. Forward-only (no zero-phase
     pass): the windows feed a latency-sensitive control loop, so the filter
     may not look ahead.
+
+    A 1-D signal and the same signal as one row of a batch can differ in the
+    last bits: numpy's matmul sends a single row to BLAS gemv and a batch to
+    gemm, which sum in different orders. A (channels, samples) window gives
+    the same bits alone and inside a stack of windows.
     """
     x = np.asarray(x, dtype=np.float64)
     resp, state_resp, state_in, carry = _block_matrices()

@@ -114,8 +114,9 @@ def fit(
 ) -> TrainHistory:
     """Train `model` in place; restores the best-validation parameters at exit.
 
-    Non-finite training or validation inputs raise DataError before any
-    step; a validation loss that is never finite raises NumericError.
+    Empty or non-finite training or validation inputs raise DataError before
+    any step; a validation loss that is never finite raises NumericError.
+    The returned model's parameters hold no gradients.
 
     `step_extra(model, rng, xb, yb, feats)` may return an extra loss Tensor
     which is added to the cross-entropy of the batch. `val_data` overrides the
@@ -128,8 +129,11 @@ def fit(
         raise DataError("empty training set")
     if not np.isfinite(x).all():
         raise DataError("training inputs contain NaN or infinite values")
-    if val_data is not None and not np.isfinite(val_data[0]).all():
-        raise DataError("validation inputs contain NaN or infinite values")
+    if val_data is not None:
+        if len(val_data[0]) == 0:
+            raise DataError("empty validation set")
+        if not np.isfinite(val_data[0]).all():
+            raise DataError("validation inputs contain NaN or infinite values")
     if y.max() >= model.num_gestures or y.min() < 0:
         raise DataError(
             f"labels outside 0..{model.num_gestures - 1} for a {model.num_gestures}-gesture head"
@@ -183,5 +187,6 @@ def fit(
     if history.best_epoch < 0:
         raise NumericError(f"no finite validation loss in {len(history.epochs)} epochs")
     model.load_state_arrays(best_state)
+    model.zero_grad()  # the last step's gradients: nothing reads them again
     model.eval()
     return history

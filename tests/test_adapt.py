@@ -288,6 +288,16 @@ class TestDirtT:
         )
         assert moved > 1e-3
 
+    def test_refined_model_holds_no_gradients(self):
+        x_src, y_src, x_tgt, _ = cluster_task(seed=5)
+        model = mini_net(seed=4)
+        fit(model, x_src, y_src, tcfg(seed=4, max_epochs=2))
+        acfg = AdaptConfig(beta=1e-2, vat_epsilon=0.5, dirt_t_iterations=2)
+        dirt_t_refine(model, x_tgt, acfg=acfg, cfg=tcfg(seed=8, learning_rate=1e-2))
+        for m in (model, model.clone()):
+            for name, p in m.named_parameters().items():
+                assert p.grad is None, name
+
     def test_entropy_trend_across_iterations(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=6, shift=1.5, n_per=50)
         model = mini_net(seed=5)

@@ -18,6 +18,8 @@ exactly. Channel-major ops get their inputs transposed here explicitly, and
 their results are transposed back before the comparison.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,65 @@ class TestConv2dMatchesSampleMajor:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((3, 2, 5, 5))), Tensor(np.zeros((4, 2, 3, 3))))
+
+
+def _conv_grads(op, x, w, g, x_grad, w_grad, channel_major=True):
+    """dx and dw of one conv2d call on sample-major x and g, with only the
+    operands named by `x_grad` and `w_grad` requiring a gradient."""
+    swap = _swap01 if channel_major else np.asarray
+    tx, tw = Tensor(swap(x), requires_grad=x_grad), Tensor(w.copy(), requires_grad=w_grad)
+    op(tx, tw)._backward(swap(g))
+    return None if tx.grad is None else swap(tx.grad), tw.grad
+
+
+class TestConv2dRegathersColumns:
+    """The forward drops the im2col columns and the backward gathers them
+    again only for the kernel gradient."""
+
+    @pytest.mark.parametrize("x_shape, w_shape", _layer_shapes(32), ids=CONV_IDS[:4])
+    def test_forward_holds_only_its_output(self, x_shape, w_shape):
+        x, w, _, _ = _conv_data(np.random.default_rng(31), x_shape, w_shape)
+        tx, tw = Tensor(_swap01(x), requires_grad=True), Tensor(w, requires_grad=True)
+        conv2d(tx, tw)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(tx, tw)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("x_shape, w_shape", EXACT_CONV_CASES, ids=EXACT_CONV_IDS)
+    def test_frozen_kernel_input_gradient_without_a_gather(self, x_shape, w_shape, monkeypatch):
+        # The VAT probe: the parameters are frozen and only the input needs a gradient.
+        x, w, _, g = _conv_data(np.random.default_rng(32), x_shape, w_shape)
+        gathers = []
+        columns = ad._columns
+
+        def counted(*args):
+            gathers.append(args)
+            return columns(*args)
+
+        monkeypatch.setattr(ad, "_columns", counted)
+        tx, tw = Tensor(_swap01(x), requires_grad=True), Tensor(w.copy())
+        out = conv2d(tx, tw)
+        assert len(gathers) == 1
+        out._backward(_swap01(g))
+        assert len(gathers) == 1 and tw.grad is None
+        want_dx, _ = _conv_grads(_nchw_conv2d, x, w, g, True, False, channel_major=False)
+        assert tx.grad.tobytes() == _swap01(want_dx).tobytes()
+
+    @pytest.mark.parametrize("x_shape, w_shape", EXACT_CONV_CASES, ids=EXACT_CONV_IDS)
+    def test_frozen_input_kernel_gradient(self, x_shape, w_shape):
+        # The first block in training: the input needs no gradient.
+        x, w, _, g = _conv_data(np.random.default_rng(33), x_shape, w_shape)
+        got_dx, got_dw = _conv_grads(conv2d, x, w, g, False, True)
+        want_dx, want_dw = _conv_grads(_nchw_conv2d, x, w, g, False, True, channel_major=False)
+        assert got_dx is None and want_dx is None
+        assert got_dw.dtype == want_dw.dtype
+        assert got_dw.tobytes() == want_dw.tobytes()
 
 
 ACTIVATION_SHAPES = [(3, 32, 8, 22), (3, 54, 6, 20), (3, 94, 4, 18), (3, 167, 2, 16), (5, 200)]

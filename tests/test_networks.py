@@ -14,6 +14,7 @@ from semgcal import (
     Network,
     ParameterError,
     SemgCalError,
+    ShapeError,
     UsageError,
     build_spectrogram_convnet,
     build_tsd_dnn,
@@ -100,6 +101,25 @@ class TestForwardContracts:
         alone = model.predict_probs(x[:1])
         batched = model.predict_probs(x)[:1]
         np.testing.assert_allclose(alone, batched, atol=1e-5)
+
+    @pytest.mark.parametrize("build, shape", [(build_tsd_dnn, (385,)),
+                                              (build_spectrogram_convnet, (4, 10, 24))],
+                             ids=["tsd_dnn", "convnet"])
+    @pytest.mark.parametrize("head, width", [("gesture", 11), ("domain", 2)])
+    def test_zero_rows_give_an_empty_head_width_array(self, build, shape, head, width):
+        model = build(11)
+        rows = model.predict_probs(np.zeros((5, *shape), dtype=np.float32), head=head)
+        p = model.predict_probs(np.zeros((0, *shape), dtype=np.float32), head=head)
+        assert p.shape == (0, width) == (0, rows.shape[1])
+        assert p.dtype == rows.dtype == np.float32
+        assert model.predict(np.zeros((0, *shape), dtype=np.float32)).shape == (0,)
+
+    def test_zero_rows_still_check_shape_and_head(self):
+        model = build_tsd_dnn(11)
+        with pytest.raises(ShapeError):
+            model.predict_probs(np.zeros((0, 384), dtype=np.float32))
+        with pytest.raises(UsageError):
+            model.predict_probs(np.zeros((0, 385), dtype=np.float32), head="color")
 
     def test_unknown_head(self):
         model = build_tsd_dnn(11)

@@ -185,6 +185,28 @@ class TestFit:
         for name, arr in model.state_arrays().items():
             assert arr.tobytes() == before[name].tobytes(), name
 
+    def test_empty_validation_set_rejected_before_training(self):
+        x, y = separable_tsd_data(seed=1, n_per_class=10)
+        model = build_tsd_dnn(11, seed=0)
+        before = model.state_arrays()
+        with pytest.raises(DataError, match="empty validation set"):
+            fit(model, x, y, TrainConfig(max_epochs=1), val_data=(x[:0], y[:0]))
+        for name, arr in model.state_arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("build, shape", [(build_tsd_dnn, (385,)),
+                                              (build_spectrogram_convnet, (4, 10, 24))],
+                             ids=["tsd_dnn", "convnet"])
+    def test_returned_model_and_its_clone_hold_no_gradients(self, build, shape):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, *shape)).astype(np.float32)
+        y = np.arange(40) % 7
+        model = build(7, seed=0)
+        fit(model, x, y, TrainConfig(batch_size=16, max_epochs=1, seed=1))
+        for m in (model, model.clone()):
+            for name, p in m.named_parameters().items():
+                assert p.grad is None, name
+
     def test_never_finite_validation_loss_raises(self):
         # NaN running variance: training-mode steps use batch statistics and
         # stay finite, while every eval-mode validation loss is NaN.
