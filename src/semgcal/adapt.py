@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, ParameterError, UsageError
+from .errors import DataError, ParameterError, UsageError, check_int
 from .nn import BatchNorm, Network, _Ctx
 from .optim import Adam
 from .relabel import (
@@ -26,6 +26,8 @@ from .relabel import (
     mv_relabel,
 )
 from .train import TrainConfig, TrainHistory, default_train_config, fit, stratified_split
+
+ADABN_BATCH = 512  # target rows per AdaBN forward batch
 
 
 @dataclass
@@ -55,8 +57,8 @@ class AdaptConfig:
             raise ParameterError("loss weights must be >= 0")
         if self.vat_epsilon <= 0:
             raise ParameterError(f"vat_epsilon must be > 0, got {self.vat_epsilon}")
-        if self.dirt_t_iterations < 1 or self.dirt_t_steps_per_iter < 1:
-            raise ParameterError("DIRT-T schedule values must be >= 1")
+        check_int("dirt_t_iterations", self.dirt_t_iterations, 1)
+        check_int("dirt_t_steps_per_iter", self.dirt_t_steps_per_iter, 1)
 
 
 def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,16 +293,16 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
     return model
 
 
-def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Network:
+def adabn_adapt(model: Network, x_tgt: np.ndarray) -> Network:
     """Replace every batch-norm layer's running statistics with the population
     statistics of its input over the target data; all weights stay untouched.
 
-    One eval-mode sweep moves the target batches through the feature layers,
-    holding one layer's activations at a time: at each batch norm the
-    statistics of its input are set before the batches pass through it, so
-    the statistics feeding layer k+1 already reflect layer k's update. The
-    sweep stops after the last batch norm. Running the adaptation twice with
-    the same data is a fixed point.
+    One eval-mode sweep moves the target batches of `ADABN_BATCH` rows
+    through the feature layers, holding one layer's activations at a time:
+    at each batch norm the statistics of its input are set before the
+    batches pass through it, so the statistics feeding layer k+1 already
+    reflect layer k's update. The sweep stops after the last batch norm.
+    Running the adaptation twice with the same data is a fixed point.
     """
     x = np.asarray(x_tgt, dtype=np.float32)
     if len(x) < 2:
@@ -310,7 +312,7 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray, batch_size: int = 512) -> Net
     ctx = _Ctx(False, None)
     layers = out.feature_layers
     last_bn = max((pos for pos, layer in enumerate(layers) if isinstance(layer, BatchNorm)), default=-1)
-    acts = [out.layer_input(x[lo : lo + batch_size]).data for lo in range(0, len(x), batch_size)]
+    acts = [out.layer_input(x[lo : lo + ADABN_BATCH]).data for lo in range(0, len(x), ADABN_BATCH)]
     with ad.no_grad():
         for pos, layer in enumerate(layers[: last_bn + 1]):
             if isinstance(layer, BatchNorm):

@@ -27,7 +27,13 @@ import threading
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
+
+# The one setting of each layer hyper-parameter, shared by both networks.
+LEAKY_SLOPE = 0.1
+DROPOUT_P = 0.5
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 _state = threading.local()
 
@@ -221,15 +227,6 @@ def exp(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old_shape = a.data.shape
-
-    def backward(g):
-        a._accumulate(g.reshape(old_shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
-
-
 def concat(tensors: list[Tensor]) -> Tensor:
     """The tensors stacked along axis 0 (rows)."""
     offsets = np.cumsum([0] + [len(t.data) for t in tensors])
@@ -266,36 +263,32 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    """max(a, slope * a), which is the leaky ReLU for a slope in [0, 1]."""
-    if not 0.0 <= slope <= 1.0:
-        raise ParameterError(f"leaky ReLU slope must be in [0, 1], got {slope}")
-
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(a, LEAKY_SLOPE * a): the leaky ReLU, as the slope is in [0, 1]."""
     data = a.data
 
     def backward(g):
-        # g times 1 or slope, looked up per element: the bits of
-        # np.where(data > 0, g, slope * g) without a branch per element.
-        factor = np.array([slope, 1.0], dtype=g.dtype).take((data > 0).view(np.uint8))
+        # g times 1 or the slope, looked up per element: the bits of
+        # np.where(data > 0, g, LEAKY_SLOPE * g) without a branch per element.
+        factor = np.array([LEAKY_SLOPE, 1.0], dtype=g.dtype).take((data > 0).view(np.uint8))
         a._accumulate(g * factor, owned=True)
 
-    return _make(np.maximum(data, slope * data), (a,), backward)
+    return _make(np.maximum(data, LEAKY_SLOPE * data), (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: keep with probability 1-p and scale by 1/(1-p).
+def dropout(a: Tensor, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout at p = DROPOUT_P: keep with probability 1-p and scale
+    by 1/(1-p).
 
     A 4-D input is channel-major (C, N, H, W). Its uniforms are drawn in the
     sample-major shape (N, C, H, W) and read transposed, so every element
     keeps the draw it has in the sample-major layout.
     """
-    if p <= 0.0:
-        return a
     shape = a.data.shape
     if a.data.ndim == 4:
-        kept = (rng.random((shape[1], shape[0], *shape[2:])) >= p).transpose(1, 0, 2, 3)
+        kept = (rng.random((shape[1], shape[0], *shape[2:])) >= DROPOUT_P).transpose(1, 0, 2, 3)
     else:
-        kept = rng.random(shape) >= p
+        kept = rng.random(shape) >= DROPOUT_P
     # The graph saves the one-byte mask. Each pass rebuilds the float factor
     # kept / (1 - p) and multiplies it into its input in place: the bits of
     # x * factor, as multiplication commutes.
@@ -303,7 +296,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
     def times_factor(x):
         out = kept.astype(a.data.dtype)
-        out /= 1.0 - p
+        out /= 1.0 - DROPOUT_P
         out *= x
         return out
 
@@ -322,7 +315,7 @@ def gradient_reversal(a: Tensor, lambda_d: float = 1.0) -> Tensor:
     return _make(a.data, (a,), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b with w of shape (out, in)."""
 
     def backward(g):
@@ -330,14 +323,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
             x._accumulate(g @ w.data, owned=True)
         if w.requires_grad:
             w._accumulate(g.T @ x.data, owned=True)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(g.sum(axis=0), owned=True)
 
-    parents = (x, w) if b is None else (x, w, b)
-    out_data = x.data @ w.data.T
-    if b is not None:
-        out_data = out_data + b.data
-    return _make(out_data, parents, backward)
+    return _make(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
 def _chan_sum(a: np.ndarray) -> np.ndarray:
@@ -382,7 +371,7 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return cols_t.reshape(c * kh * kw, n * oh * ow)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Valid (no padding), stride-1 2-D convolution via channel-major im2col.
 
     x: (C, N, H, W); w: (O, C, kh, kw) -> (O, N, H - kh + 1, W - kw + 1).
@@ -398,7 +387,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     memory): the same bytes in the same layout, so the kernel gradient
     `g_t @ cols_t.T` has the bits it would have had from saved columns. They
     are freed before the column gradient is scattered back with one slab
-    add per kernel offset (col2im). The bias gradient is a `_chan_sum`.
+    add per kernel offset (col2im). There is no bias: the batch norm that
+    follows every convolution absorbs it.
     """
     c, n, h, wd = x.data.shape
     o, c2, kh, kw = w.data.shape
@@ -409,15 +399,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{wd})")
     w_flat = w.data.reshape(o, -1)
     out_data = (w_flat @ _columns(x.data, kh, kw)).reshape(o, n, oh, ow)
-    if b is not None:
-        out_data = out_data + b.data[:, None, None, None]
 
     def backward(g):
         g_t = g.reshape(o, n * oh * ow)
         if w.requires_grad:
             w._accumulate((g_t @ _columns(x.data, kh, kw).T).reshape(w.data.shape), owned=True)
-        if b is not None and b.requires_grad:
-            b._accumulate(_chan_sum(g), owned=True)
         if x.requires_grad:
             dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dx = np.zeros_like(x.data)
@@ -426,8 +412,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                     dx[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
             x._accumulate(dx, owned=True)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data, parents, backward)
+    return _make(out_data, (x, w), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -455,14 +440,13 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Batch normalization of (N, C) or channel-major (C, N, H, W) input.
 
     In training mode the batch statistics normalize and the running buffers
-    are updated in place with an exponential moving average (population
-    variance). In eval mode the running buffers normalize. Every per-channel
+    are updated in place with an exponential moving average of momentum
+    BN_MOMENTUM (population variance). In eval mode the running buffers
+    normalize. Either way BN_EPS is added to the variance. Every per-channel
     sum is a `_chan_sum`, so channel-major input gets the bits of the same
     values laid out (N, C, H, W).
     """
@@ -483,11 +467,11 @@ def batch_norm(
         xhat = x.data - expand(mean)
         var = _chan_sum(np.square(xhat))
         np.true_divide(var, count, out=var, casting="unsafe")
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= expand(inv_std)
 
         def backward(g):
@@ -512,7 +496,7 @@ def batch_norm(
                 x._accumulate(dxhat, owned=True)
 
     else:
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + BN_EPS)
         xhat = x.data - expand(running_mean.astype(x.data.dtype))
         xhat *= expand(inv_std)
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of every
+config."""
 
 
 class SemgCalError(Exception):
@@ -31,3 +32,11 @@ class UsageError(SemgCalError, RuntimeError):
 
 class ParseError(SemgCalError, ValueError):
     """Malformed dataset file; the message carries file and line."""
+
+
+def check_int(name: str, value, minimum: int | None) -> None:
+    """Raise ParameterError unless `value` is an int, not a bool, and at least
+    `minimum` (None: no lower bound)."""
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")

@@ -41,7 +41,7 @@ from .adapt import (
     scadann_calibrate,
     vada_train,
 )
-from .errors import DataError, EmptyInputError, NumericError, ParameterError, SemgCalError
+from .errors import DataError, EmptyInputError, NumericError, ParameterError, SemgCalError, check_int
 from .features import _usable_cpus, tsd_matrix
 from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
 from .relabel import HeuristicConfig
@@ -72,13 +72,13 @@ class HarnessConfig:
     def __post_init__(self):
         if self.input_kind not in INPUT_KINDS:
             raise ParameterError(f"unknown input kind {self.input_kind!r}")
+        check_int("gestures", self.gestures, None)
         if self.gestures not in (7, 11):
             raise ParameterError(f"gestures must be 7 or 11, got {self.gestures}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ParameterError(f"unknown algorithms: {sorted(unknown)}")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
-            raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
+        check_int("workers", self.workers, 1)
         # Fields left None are derived; `from_overrides` derives them again.
         self._derived = tuple(name for name in ("heuristic", "adapt_train") if getattr(self, name) is None)
         if self.heuristic is None:
@@ -445,6 +445,9 @@ class BenchmarkConfig:
             early_stop_patience=4, anneal_patience=3),
         adapt=AdaptConfig(vat_epsilon=0.01),
     ))
+
+    def __post_init__(self):
+        check_int("seed", self.seed, None)  # it only keys `cell_seed`, so any integer
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> dict:

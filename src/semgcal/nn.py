@@ -22,10 +22,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, ParameterError, SemgCalError, ShapeError, UsageError
 
-LEAKY_SLOPE = 0.1
-DROPOUT_P = 0.5
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
 EVAL_BATCH = 1024  # rows per eval-mode forward pass
 
 # Spectrogram ConvNet block layout: channels per block, all 3x3 valid
@@ -91,34 +87,26 @@ class BatchNorm:
         self.running_var = np.asarray(var, dtype=self.running_var.dtype).copy()
 
     def __call__(self, x, ctx):
-        return ad.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=ctx.training, momentum=BN_MOMENTUM, eps=BN_EPS,
-        )
+        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                             training=ctx.training)
 
 
 class LeakyReLU:
-    def __init__(self, slope=LEAKY_SLOPE):
-        self.slope = slope
-
     def params(self):
         return []
 
     def __call__(self, x, ctx):
-        return ad.leaky_relu(x, self.slope)
+        return ad.leaky_relu(x)
 
 
 class Dropout:
-    def __init__(self, p=DROPOUT_P):
-        self.p = p
-
     def params(self):
         return []
 
     def __call__(self, x, ctx):
         if not ctx.training or ctx.rng is None:
             return x
-        return ad.dropout(x, self.p, ctx.rng)
+        return ad.dropout(x, ctx.rng)
 
 
 class GlobalAvgPool:
@@ -213,40 +201,41 @@ class Network:
             t = layer(t, ctx)
         return t
 
-    def logits(self, x, head: str = "gesture", rng=None, grl_lambda: float | None = None) -> Tensor:
-        feats = self.features(x, rng=rng)
-        return self.head_logits(feats, head, grl_lambda=grl_lambda)
-
-    def _head(self, head: str) -> Linear:
-        if head == "gesture":
-            return self.gesture_head
-        if head == "domain":
-            if self.domain_head is None:
-                raise UsageError("this network has no domain head")
-            return self.domain_head
-        raise UsageError(f"unknown head {head!r}")
+    def logits(self, x, rng=None) -> Tensor:
+        """The gesture head's logits."""
+        return self.head_logits(self.features(x, rng=rng), "gesture")
 
     def head_logits(self, feats: Tensor, head: str, grl_lambda: float | None = None) -> Tensor:
-        layer = self._head(head)
-        if head == "domain" and grl_lambda is not None:
-            feats = ad.gradient_reversal(feats, grl_lambda)
+        """`head` ("gesture" or "domain") over `feats`; the domain head reads
+        them through a gradient reversal of `grl_lambda` when one is given."""
+        if head == "gesture":
+            layer = self.gesture_head
+        elif head == "domain":
+            if self.domain_head is None:
+                raise UsageError("this network has no domain head")
+            layer = self.domain_head
+            if grl_lambda is not None:
+                feats = ad.gradient_reversal(feats, grl_lambda)
+        else:
+            raise UsageError(f"unknown head {head!r}")
         return layer(feats, _Ctx(self.training, None))
 
-    def predict_probs(self, x: np.ndarray, head: str = "gesture") -> np.ndarray:
-        """Eval-mode softmax rows, computed off-graph in batches of `EVAL_BATCH`.
+    def predict_probs(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode gesture softmax rows, computed off-graph in batches of
+        `EVAL_BATCH`.
 
-        Zero rows give a (0, K) float32 array, K the width of `head`.
+        Zero rows give a (0, num_gestures) float32 array.
         """
         if len(x) == 0:
             self.layer_input(x)  # the shape check every batch gets
-            return np.zeros((0, self._head(head).w.data.shape[0]), dtype=np.float32)
+            return np.zeros((0, self.num_gestures), dtype=np.float32)
         was_training = self.training
         self.eval()
         try:
             with ad.no_grad():
                 chunks = []
                 for lo in range(0, len(x), EVAL_BATCH):
-                    logits = self.logits(x[lo : lo + EVAL_BATCH], head=head)
+                    logits = self.logits(x[lo : lo + EVAL_BATCH])
                     chunks.append(ad.softmax(logits).data)
             return np.concatenate(chunks, axis=0)
         finally:

@@ -9,6 +9,7 @@ them, and drops stretches whose instability lasted too long.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +23,10 @@ _MV_BLOCK = 1024  # median-vote windows per vectorized median
 
 @dataclass(frozen=True)
 class PredictionStream:
-    """Time-ordered per-segment softmax rows, 50 ms apart by default."""
+    """Time-ordered per-segment softmax rows, one window stride (`STRIDE_MS`)
+    apart."""
 
     rows: np.ndarray  # (N, num_classes)
-    stride_ms: int = STRIDE_MS
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -43,13 +44,11 @@ class PredictionStream:
     def predictions(self) -> np.ndarray:
         return np.argmax(self.rows, axis=1)
 
-    def segments_per_second(self) -> float:
-        return 1000.0 / self.stride_ms
-
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Durations are seconds; they convert to segment counts via the stride."""
+    """Durations are seconds; they convert to segment counts at the window
+    stride, and each must come to at least one segment."""
 
     unstable_len_s: float = 1.5
     threshold_stable: float = 0.85  # 0.85 for 7 gestures, 0.65 for 11
@@ -58,13 +57,16 @@ class HeuristicConfig:
     threshold_derivative: float = 0.05
 
     def __post_init__(self):
-        if min(self.unstable_len_s, self.max_len_unstable_s, self.max_look_back_s) <= 0:
-            raise ParameterError("durations must be positive")
+        durations = (self.unstable_len_s, self.max_len_unstable_s, self.max_look_back_s)
+        counts = [seconds * 1000.0 / STRIDE_MS for seconds in durations]  # as `segments` counts
+        if not all(math.isfinite(count) and round(count) >= 1 for count in counts):
+            raise ParameterError(f"durations must be finite and round to at least one "
+                                 f"{STRIDE_MS} ms segment, got {durations}")
         if not 0.0 < self.threshold_stable < 1.0:
             raise ParameterError(f"threshold_stable must be in (0, 1), got {self.threshold_stable}")
 
-    def segments(self, seconds: float, stride_ms: int) -> int:
-        return int(round(seconds * 1000.0 / stride_ms))
+    def segments(self, seconds: float) -> int:
+        return int(round(seconds * 1000.0 / STRIDE_MS))
 
 
 @dataclass
@@ -106,7 +108,7 @@ def mv_relabel(stream: PredictionStream, t_seconds: float = 1.0) -> np.ndarray:
     if t_seconds < 0:
         raise ParameterError(f"t_seconds must be >= 0, got {t_seconds}")
     rows = stream.rows
-    w = int(round(t_seconds * stream.segments_per_second()))
+    w = int(round(t_seconds * (1000.0 / STRIDE_MS)))
     n = len(rows)
     labels = np.empty(n, dtype=np.int64)
     # Windows cut by a stream boundary differ in length: one median each.
@@ -176,9 +178,9 @@ def generate_pseudo_labels(stream: PredictionStream, hcfg: HeuristicConfig) -> P
     rows = stream.rows
     preds = stream.predictions
     n = len(rows)
-    ul = hcfg.segments(hcfg.unstable_len_s, stream.stride_ms)
-    max_unstable = hcfg.segments(hcfg.max_len_unstable_s, stream.stride_ms)
-    look_back = hcfg.segments(hcfg.max_look_back_s, stream.stride_ms)
+    ul = hcfg.segments(hcfg.unstable_len_s)
+    max_unstable = hcfg.segments(hcfg.max_len_unstable_s)
+    look_back = hcfg.segments(hcfg.max_look_back_s)
 
     labels = np.full(n, -1, dtype=np.int64)
     flags = np.zeros(n, dtype=bool)

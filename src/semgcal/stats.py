@@ -2,8 +2,8 @@
 
 Algorithms are compared per session with a Friedman rank test over subjects,
 a one-sided Holm step-down post-hoc against the no-calibration control, and
-paired effect sizes (Cohen's Dz). A Wilcoxon signed-rank test (exact null up
-to n = 20) backs pairwise comparisons.
+paired effect sizes (Cohen's Dz). A two-sided Wilcoxon signed-rank test
+(exact null up to n = 20) backs pairwise comparisons.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyInputError, NumericError, ShapeError
+
+HOLM_ALPHA = 0.05  # family-wise level of the Holm step-down
+WILCOXON_EXACT_MAX = 20  # the most pairs that get the exact null
 
 _SQRT1_2 = math.sqrt(0.5)
 
@@ -107,12 +110,12 @@ class HolmResult:
     reject: np.ndarray  # bool; False at the control
 
 
-def holm_posthoc(avg_ranks: np.ndarray, n: int, control: int, alpha: float = 0.05) -> HolmResult:
+def holm_posthoc(avg_ranks: np.ndarray, n: int, control: int) -> HolmResult:
     """One-sided Holm step-down versus a control algorithm.
 
     The alternative is "algorithm ranks better (lower) than the control":
     z_j = (R_control - R_j) / sqrt(k (k + 1) / (6 n)). Comparisons are ordered
-    by ascending p and rejected while p_(i) <= alpha / (m - i + 1).
+    by ascending p and rejected while p_(i) <= HOLM_ALPHA / (m - i + 1).
     """
     avg_ranks = np.asarray(avg_ranks, dtype=np.float64)
     k = len(avg_ranks)
@@ -131,7 +134,7 @@ def holm_posthoc(avg_ranks: np.ndarray, n: int, control: int, alpha: float = 0.0
     for i, j in enumerate(order):
         running_max = max(running_max, (m - i) * p[j])
         adjusted[j] = min(1.0, running_max)
-        if still_rejecting and p[j] <= alpha / (m - i):
+        if still_rejecting and p[j] <= HOLM_ALPHA / (m - i):
             reject[j] = True
         else:
             still_rejecting = False
@@ -170,13 +173,12 @@ def _exact_tail_probs(ranks: np.ndarray, w_plus: float) -> tuple[float, float]:
     return p_le, p_ge
 
 
-def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray, alternative: str = "two-sided",
-                         exact_threshold: int = 20) -> float:
-    """Paired signed-rank test p-value; zero differences are dropped.
+def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided paired signed-rank test p-value; zero differences are dropped.
 
-    Uses the exact sign-flip null up to `exact_threshold` pairs and the
-    tie-corrected normal approximation (with continuity correction) beyond.
-    `alternative` is "two-sided", "greater" (a > b) or "less".
+    Uses the exact sign-flip null up to `WILCOXON_EXACT_MAX` nonzero pairs
+    and the tie-corrected normal approximation (with continuity correction)
+    beyond.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -188,21 +190,13 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray, alternative: str = "two-s
     if n == 0:
         return 1.0
     w_plus, ranks = _signed_rank_statistic(diffs)
-    if n <= exact_threshold:
+    if n <= WILCOXON_EXACT_MAX:
         p_le, p_ge = _exact_tail_probs(ranks, w_plus)
-        if alternative == "greater":
-            return min(1.0, p_ge)
-        if alternative == "less":
-            return min(1.0, p_le)
         return min(1.0, 2.0 * min(p_le, p_ge))
     mean = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(tie_counts**3 - tie_counts) / 48.0
     sd = np.sqrt(var)
-    if alternative == "greater":
-        return _norm_sf((w_plus - mean - 0.5) / sd)
-    if alternative == "less":
-        return _norm_sf(-(w_plus - mean + 0.5) / sd)
     z = (w_plus - mean - 0.5 * np.sign(w_plus - mean)) / sd
     return float(min(1.0, 2.0 * _norm_sf(abs(z))))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .signal import NUM_CHANNELS, SAMPLE_RATE_HZ, RawRecording
 
 INT_SCALE = 1200.0  # float signal units -> integer counts
@@ -39,15 +39,14 @@ class SynthConfig:
     gain_drift: float = 0.5  # log-gain spread per unit shift_scale
 
     def __post_init__(self):
-        if min(self.subjects, self.sessions, self.gestures, self.cycles,
-               self.eval_recordings, self.eval_blocks) < 1:
-            raise ParameterError("all counts must be >= 1")
+        for name in ("subjects", "sessions", "gestures", "cycles", "eval_recordings", "eval_blocks"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)  # numpy's SeedSequence takes no negative seed
+        check_int("transition_ms", self.transition_ms, 0)
         if self.shift_scale < 0 or self.noise_scale < 0:
             raise ParameterError("scales must be >= 0")
         if self.gestures > 11:
             raise ParameterError(f"at most 11 gestures supported, got {self.gestures}")
-        if self.transition_ms < 0:
-            raise ParameterError(f"transition_ms must be >= 0, got {self.transition_ms}")
         if not all(map(math.isfinite, (self.cycle_block_seconds, self.eval_block_seconds))):
             raise ParameterError("block lengths must be finite")
         if _samples(self.cycle_block_seconds) < 1:

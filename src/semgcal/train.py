@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_int
 from .nn import EVAL_BATCH, Network
 from .optim import Adam
 
@@ -34,14 +34,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "early_stop_patience", "anneal_patience", "max_epochs"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)  # numpy's default_rng takes no negative seed
         if not 0.0 < self.validation_fraction < 1.0:
             raise ParameterError(f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
-        if self.early_stop_patience < 1 or self.anneal_patience < 1:
-            raise ParameterError("patience values must be >= 1")
         if self.anneal_factor <= 1.0:
             raise ParameterError(f"anneal_factor must be > 1, got {self.anneal_factor}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ParameterError("learning_rate, batch_size and max_epochs must be positive")
+        if self.learning_rate <= 0:
+            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def default_train_config(kind: str, **overrides) -> TrainConfig:

@@ -18,15 +18,16 @@ def graph_tensors(loss: Tensor) -> list[Tensor]:
     return nodes
 
 
-def mini_net(in_dim=16, hidden=24, classes=4, seed=0, dropout=0.0, with_bn=True, dtype=np.float32):
-    """A small MLP with the same skeleton as the TSD DNN (one hidden block)."""
+def mini_net(in_dim=16, hidden=24, classes=4, seed=0, dropout=False, with_bn=True, dtype=np.float32):
+    """A small MLP with the same skeleton as the TSD DNN (one hidden block);
+    its dropout layer, at the networks' one rate, is there only if asked for."""
     rng = np.random.default_rng(seed)
     layers = [Linear("fc0", in_dim, hidden, rng, dtype)]
     if with_bn:
         layers.append(BatchNorm("fc0.bn", hidden, dtype))
-    layers.append(LeakyReLU(0.1))
-    if dropout > 0:
-        layers.append(Dropout(dropout))
+    layers.append(LeakyReLU())
+    if dropout:
+        layers.append(Dropout())
     gesture = Linear("gesture_head", hidden, classes, rng, dtype)
     domain = Linear("domain_head", hidden, 2, rng, dtype)
     return Network("tsd_dnn", classes, layers, gesture, domain, (in_dim,))

@@ -16,22 +16,25 @@ import pytest
 from _helpers import mini_net
 
 import semgcal.autodiff as ad
-from semgcal import (
-    HeuristicConfig,
-    PredictionStream,
+from semgcal import build_tsd_dnn
+from semgcal.adapt import (
+    AdaptConfig,
+    _domain_loss,
+    _np_log_softmax,
     adabn_adapt,
-    build_spectrogram_convnet,
-    build_tsd_dnn,
     dirt_t_refine,
-    generate_pseudo_labels,
-    mv_relabel,
     vat_loss,
 )
-from semgcal.adapt import AdaptConfig, _domain_loss, _np_log_softmax
 from semgcal.autodiff import Tensor
 from semgcal.experiment import BenchmarkConfig, benchmark_report
-from semgcal.nn import TSD_HIDDEN, Linear, Network
-from semgcal.relabel import entropy_rows
+from semgcal.nn import TSD_HIDDEN, Linear, Network, build_spectrogram_convnet
+from semgcal.relabel import (
+    HeuristicConfig,
+    PredictionStream,
+    entropy_rows,
+    generate_pseudo_labels,
+    mv_relabel,
+)
 from semgcal.signal import RawRecording, Segment, bandpass, build_spectrogram_example, \
     design_bandpass, segment_stream, spectrogram_channel
 from semgcal.stats import cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
@@ -84,7 +87,7 @@ def test_criterion_1_autodiff_correctness():
         # per-layer checks live in test_autodiff.py; here: the composite losses
         # on a float64 two-head network without dropout/BN (stop-gradient
         # quantities of VAT are held at their base-parameter values).
-        net = mini_net(in_dim=12, hidden=10, classes=4, seed=3, dropout=0.0,
+        net = mini_net(in_dim=12, hidden=10, classes=4, seed=3, dropout=False,
                        with_bn=False, dtype=np.float64)
         net.train()
         params = list(net.named_parameters().values())
@@ -320,7 +323,7 @@ def test_criterion_5_adaptation_units():
         mu = np.array([0.5, -1.0, 2.0, 0.0, -0.25])
         sig2 = np.array([1.5, 0.25, 2.0, 1.0, 0.5])
         xt = (rng2.standard_normal((5000, 5)) * np.sqrt(sig2) + mu).astype(np.float32)
-        adapted = adabn_adapt(net, xt, batch_size=512)
+        adapted = adabn_adapt(net, xt)
         for name, arr in net.named_parameters().items():
             assert arr.data.tobytes() == adapted.named_parameters()[name].data.tobytes()
         got = adapted.bn_layers()[0]
@@ -440,5 +443,5 @@ def test_criterion_7_statistics_oracles():
         noise = rng.uniform(-0.01, 0.01, (20, 5))
         table = np.hstack([base, dominant, base + noise[:, :4]])
         res = friedman_test(table)
-        holm = holm_posthoc(res.avg_ranks, n=20, control=0, alpha=0.05)
+        holm = holm_posthoc(res.avg_ranks, n=20, control=0)
         assert holm.reject[1]

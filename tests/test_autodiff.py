@@ -13,6 +13,7 @@ from _helpers import graph_tensors
 from semgcal import UsageError
 from semgcal.adapt import _domain_loss
 from semgcal.autodiff import (
+    DROPOUT_P,
     Tensor,
     _channel_major,
     _make,
@@ -112,28 +113,26 @@ class TestOpGradients:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 6, 7)).transpose(1, 0, 2, 3).copy()  # channel-major
         w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
 
         def loss_fn(arrays, tensors):
-            tx, tw, tb = _wrap(arrays, tensors)
-            out = conv2d(tx, tw, tb)
+            tx, tw = _wrap(arrays, tensors)
+            out = conv2d(tx, tw)
             return mean_all(mul(out, out))
 
-        assert check_gradients(loss_fn, [x, w, b]) > 0
+        assert check_gradients(loss_fn, [x, w]) > 0
 
     @pytest.mark.parametrize("kernel", [(2, 3), (1, 1)], ids=["2x3", "1x1"])
     def test_conv2d_non_square_and_pointwise_kernels(self, kernel):
         rng = np.random.default_rng(30)
         x = rng.standard_normal((2, 3, 5, 6)).transpose(1, 0, 2, 3).copy()  # channel-major
         w = rng.standard_normal((4, 3, *kernel))
-        b = rng.standard_normal(4)
 
         def loss_fn(arrays, tensors):
-            tx, tw, tb = _wrap(arrays, tensors)
-            out = conv2d(tx, tw, tb)
+            tx, tw = _wrap(arrays, tensors)
+            out = conv2d(tx, tw)
             return mean_all(mul(out, out))
 
-        assert check_gradients(loss_fn, [x, w, b]) > 0
+        assert check_gradients(loss_fn, [x, w]) > 0
 
     def test_batch_norm_train_mode(self):
         rng = np.random.default_rng(4)
@@ -195,17 +194,18 @@ class TestOpGradients:
 
         def loss_fn(arrays, tensors):
             (tx,) = _wrap(arrays, tensors)
-            return mean_all(mul(leaky_relu(tx, 0.1), leaky_relu(tx, 0.1)))
+            return mean_all(mul(leaky_relu(tx), leaky_relu(tx)))
 
         assert check_gradients(loss_fn, [x]) > 0
 
-    def test_dropout_disabled_is_identity_with_gradient(self):
+    def test_dropout_with_a_fixed_draw(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 5))
 
         def loss_fn(arrays, tensors):
             (tx,) = _wrap(arrays, tensors)
-            return mean_all(mul(dropout(tx, 0.0, None), tx))
+            # a generator seeded afresh per pass: every pass drops the same elements
+            return mean_all(mul(dropout(tx, np.random.default_rng(18)), tx))
 
         assert check_gradients(loss_fn, [x]) > 0
 
@@ -272,11 +272,12 @@ class TestOpGradients:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4))
         w = rng.standard_normal((2, 4))
+        b = rng.standard_normal(2)
 
         def grad_with_lambda(lam):
             tx = Tensor(x.copy(), requires_grad=True)
             tw = Tensor(w.copy(), requires_grad=True)
-            out = linear(gradient_reversal(tx, lam) if lam is not None else tx, tw, None)
+            out = linear(gradient_reversal(tx, lam) if lam is not None else tx, tw, Tensor(b))
             mean_all(mul(out, out)).backward()
             return tx.grad
 
@@ -312,7 +313,7 @@ class TestBackwardContracts:
 
         def loss_fn(arrays, tensors):
             tw1, tb1, tw2, tb2 = _wrap(arrays, tensors)
-            h = leaky_relu(linear(Tensor(x), tw1, tb1), 0.1)
+            h = leaky_relu(linear(Tensor(x), tw1, tb1))
             return cross_entropy(linear(h, tw2, tb2), labels)
 
         checked = check_gradients(loss_fn, [w1, b1, w2, b2], n_samples=10)
@@ -342,7 +343,7 @@ class TestBackwardContracts:
     def test_dropout_train_mode_scaling(self):
         rng = np.random.default_rng(16)
         x = Tensor(np.ones((2000, 10)), requires_grad=True)
-        out = dropout(x, 0.5, rng)
+        out = dropout(x, rng)
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 2.0)  # inverted scaling 1/(1-p)
         assert abs(out.data.mean() - 1.0) < 0.05
@@ -476,9 +477,10 @@ class TestGraphRelease:
         assert held <= grads + 64 * 1024
 
 
-def _float_factor_dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+def _float_factor_dropout(a: Tensor, rng: np.random.Generator) -> Tensor:
     """`dropout` as it was when the graph saved the float keep factor, kept
     as an oracle."""
+    p = DROPOUT_P
     shape = a.data.shape
     if a.data.ndim == 4:
         kept = (rng.random((shape[1], shape[0], *shape[2:])) >= p).transpose(1, 0, 2, 3)
@@ -495,15 +497,14 @@ def _float_factor_dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tens
 
 class TestDropoutMask:
     @pytest.mark.parametrize("shape", [(64, 200), (16, 9, 7, 20)], ids=["2d", "channel-major-4d"])
-    @pytest.mark.parametrize("p", [0.5, 0.3])
-    def test_bits_equal_the_float_factor_version(self, shape, p):
+    def test_bits_equal_the_float_factor_version(self, shape):
         data = np.random.default_rng(5)
         x = data.standard_normal(shape).astype(np.float32)
         upstream = data.standard_normal(shape).astype(np.float32)
         outs, grads = [], []
         for op in (dropout, _float_factor_dropout):
             t = Tensor(x.copy(), requires_grad=True)
-            out = op(t, p, np.random.default_rng(6))
+            out = op(t, np.random.default_rng(6))
             sum_all(mul(out, Tensor(upstream))).backward()
             outs.append(out.data)
             grads.append(t.grad)

@@ -5,11 +5,17 @@ import threading
 import numpy as np
 import pytest
 
-from semgcal import EmptyInputError, ParameterError, Segment, ShapeError, tsd_descriptor
+from semgcal import EmptyInputError, ParameterError, ShapeError
 from semgcal import features
 from semgcal.experiment import _filter_stack, featurize
-from semgcal.features import TSD_EPS, _real_cepstrum, _similarity_combine, tsd_matrix
-from semgcal.signal import segment_stream
+from semgcal.features import (
+    TSD_EPS,
+    _real_cepstrum,
+    _similarity_combine,
+    tsd_descriptor,
+    tsd_matrix,
+)
+from semgcal.signal import Segment, segment_stream
 from semgcal.synth import SynthConfig, synth_generate
 
 

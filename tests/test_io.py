@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,14 @@ def trained_cli_model(tmp_path_factory):
         "--gestures", "7", "--seed", "3", "--out", str(model_dir),
     ]) == 0
     return data_dir, model_dir / "model_subject0_session0.bin"
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a
+    child interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def small_cfg(**kw):
@@ -393,6 +404,53 @@ class TestCli:
         rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers!r}\n"
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"harness": {"train": {"batch_size": 2.5}}},
+        {"harness": {"train": {"max_epochs": 1.5}}},
+        {"harness": {"train": {"early_stop_patience": 10.0}}},
+        {"harness": {"train": {"anneal_patience": True}}},
+        {"harness": {"train": {"seed": 0.5}}},
+        {"harness": {"adapt_train": {"max_epochs": 2.0}}},
+        {"harness": {"adapt": {"dirt_t_iterations": 5.0}}},
+        {"harness": {"adapt": {"dirt_t_steps_per_iter": True}}},
+        {"harness": {"gestures": 11.0}},
+        {"synth": {"subjects": 2.0}},
+        {"synth": {"sessions": 2.0}},
+        {"synth": {"gestures": 11.0}},
+        {"synth": {"cycles": False}},
+        {"synth": {"eval_recordings": 1.0}},
+        {"synth": {"eval_blocks": "4"}},
+        {"synth": {"seed": 1.5}},
+        {"synth": {"transition_ms": 150.0}},
+        {"seed": 0.5},
+    ], ids=json.dumps)
+    def test_evaluate_non_integer_count_exits_1_before_anything_runs(self, tmp_path, capsys,
+                                                                     monkeypatch, overrides):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps(overrides))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_evaluate_float_count_of_a_two_subject_study_prints_no_traceback(self, tmp_path):
+        # A 2-subject study runs its subjects in worker processes; the value
+        # is refused before any starts.
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"synth": {"subjects": 2, "sessions": 2, "cycles": 2},
+                                        "harness": {"train": {"batch_size": 2.5}}}))
+        out = subprocess.run([sys.executable, "-m", "semgcal.cli", "evaluate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "report")],
+                             env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert out.stderr == "error: batch_size must be an integer >= 1, got 2.5\n"
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("gestures", [5, 7])

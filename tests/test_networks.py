@@ -9,20 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semgcal import (
-    DataError,
+from semgcal import DataError, ParameterError, SemgCalError, ShapeError, UsageError, build_tsd_dnn
+from semgcal.autodiff import Tensor
+from semgcal.nn import (
+    TSD_HIDDEN,
+    Dropout,
     Network,
-    ParameterError,
-    SemgCalError,
-    ShapeError,
-    UsageError,
+    _Ctx,
     build_spectrogram_convnet,
-    build_tsd_dnn,
     load_network,
     save_network,
 )
-from semgcal.autodiff import Tensor
-from semgcal.nn import TSD_HIDDEN, Dropout, _Ctx
 
 
 class TestSpectrogramConvnet:
@@ -33,7 +30,7 @@ class TestSpectrogramConvnet:
         model = build_spectrogram_convnet(11).eval()
         x = np.random.default_rng(0).standard_normal((5, 4, 10, 24)).astype(np.float32)
         assert model.predict_probs(x).shape == (5, 11)
-        assert model.predict_probs(x, head="domain").shape == (5, 2)
+        assert model.head_logits(model.features(x), "domain").data.shape == (5, 2)
 
     def test_seven_gesture_build_differs_only_in_head(self):
         m11 = build_spectrogram_convnet(11, seed=3)
@@ -72,8 +69,11 @@ class TestTsdDnn:
         from semgcal.nn import LeakyReLU
 
         model = build_tsd_dnn(11)
-        slopes = [l.slope for l in model.feature_layers if isinstance(l, LeakyReLU)]
-        assert slopes == [0.1, 0.1, 0.1]
+        layers = [l for l in model.feature_layers if isinstance(l, LeakyReLU)]
+        assert len(layers) == 3
+        for layer in layers:
+            out = layer(Tensor(np.array([-2.0, 0.0, 3.0])), _Ctx(True, None))
+            np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
 
     def test_zero_vector_eval_finite(self):
         model = build_tsd_dnn(7).eval()
@@ -105,32 +105,30 @@ class TestForwardContracts:
     @pytest.mark.parametrize("build, shape", [(build_tsd_dnn, (385,)),
                                               (build_spectrogram_convnet, (4, 10, 24))],
                              ids=["tsd_dnn", "convnet"])
-    @pytest.mark.parametrize("head, width", [("gesture", 11), ("domain", 2)])
-    def test_zero_rows_give_an_empty_head_width_array(self, build, shape, head, width):
-        model = build(11)
-        rows = model.predict_probs(np.zeros((5, *shape), dtype=np.float32), head=head)
-        p = model.predict_probs(np.zeros((0, *shape), dtype=np.float32), head=head)
-        assert p.shape == (0, width) == (0, rows.shape[1])
+    @pytest.mark.parametrize("gestures", [7, 11])
+    def test_zero_rows_give_an_empty_gesture_width_array(self, build, shape, gestures):
+        model = build(gestures)
+        rows = model.predict_probs(np.zeros((5, *shape), dtype=np.float32))
+        p = model.predict_probs(np.zeros((0, *shape), dtype=np.float32))
+        assert p.shape == (0, gestures) == (0, rows.shape[1])
         assert p.dtype == rows.dtype == np.float32
         assert model.predict(np.zeros((0, *shape), dtype=np.float32)).shape == (0,)
 
-    def test_zero_rows_still_check_shape_and_head(self):
+    def test_zero_rows_still_check_shape(self):
         model = build_tsd_dnn(11)
         with pytest.raises(ShapeError):
             model.predict_probs(np.zeros((0, 384), dtype=np.float32))
-        with pytest.raises(UsageError):
-            model.predict_probs(np.zeros((0, 385), dtype=np.float32), head="color")
 
     def test_unknown_head(self):
         model = build_tsd_dnn(11)
         with pytest.raises(UsageError):
-            model.logits(np.zeros((1, 385), dtype=np.float32), head="color")
+            model.head_logits(model.features(np.zeros((1, 385), dtype=np.float32)), "color")
 
     def test_missing_domain_head(self):
         model = build_tsd_dnn(11)
         model.domain_head = None
         with pytest.raises(UsageError):
-            model.logits(np.zeros((1, 385), dtype=np.float32), head="domain")
+            model.head_logits(model.features(np.zeros((1, 385), dtype=np.float32)), "domain")
 
 
 class TestBatchNormBehavior:
@@ -165,7 +163,7 @@ class TestBatchNormBehavior:
         assert gaps[-1] < 0.4 * gaps[0]
 
     def test_dropout_eval_identity_train_expectation(self):
-        layer = Dropout(0.5)
+        layer = Dropout()
         x = Tensor(np.ones((200, 50)))
         out_eval = layer(x, _Ctx(False, np.random.default_rng(0)))
         assert out_eval is x

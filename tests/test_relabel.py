@@ -5,16 +5,15 @@ import statistics
 import numpy as np
 import pytest
 
-from semgcal import (
+from semgcal import ParameterError, ShapeError
+from semgcal.relabel import (
     HeuristicConfig,
-    ParameterError,
     PredictionStream,
-    ShapeError,
+    entropy_rows,
     find_transition_start,
     generate_pseudo_labels,
     mv_relabel,
 )
-from semgcal.relabel import entropy_rows
 from semgcal.signal import SAMPLE_RATE_HZ, STRIDE_MS, RawRecording, segment_stream
 
 
@@ -65,14 +64,14 @@ class TestPredictionStream:
         s = stream_of([0, 3, 6])
         assert s.predictions.tolist() == [0, 3, 6]
 
-    def test_default_stride_is_the_window_stride(self):
+    def test_seconds_count_windows_at_the_window_stride(self):
         # one row per segment_stream window: the heuristics' seconds count
         # windows at the stride that cut them
         rec = RawRecording(samples=np.zeros((10, 400), dtype=np.int16))
         first, second = segment_stream(rec)[:2]
         step_ms = (second.start_index - first.start_index) * 1000 // SAMPLE_RATE_HZ
-        assert stream_of([0, 1]).stride_ms == STRIDE_MS == step_ms
-        assert HeuristicConfig().segments(1.0, stream_of([0]).stride_ms) == 20
+        assert STRIDE_MS == step_ms
+        assert HeuristicConfig().segments(1.0) == 1000 // step_ms == 20
 
 
 class TestMvRelabel:
@@ -116,8 +115,9 @@ class TestMvRelabel:
             raw = rng.random((n, int(rng.integers(2, 12))))
             if trial % 2:
                 raw = np.round(raw, 1) + 0.01  # many ties between classes and rows
-            s = PredictionStream(rows=raw / raw.sum(axis=1, keepdims=True), stride_ms=1000)
-            assert np.array_equal(mv_relabel(s, t_seconds=w), mv_loop(s.rows, w)), trial
+            s = PredictionStream(rows=raw / raw.sum(axis=1, keepdims=True))
+            t = w * STRIDE_MS / 1000  # w rows either side
+            assert np.array_equal(mv_relabel(s, t_seconds=t), mv_loop(s.rows, w)), trial
 
 
 class TestFindTransitionStart:
@@ -146,7 +146,7 @@ class TestFindTransitionStart:
 
     def test_look_back_window_of_half_second_is_ten_segments(self):
         hcfg = HeuristicConfig()
-        assert hcfg.segments(hcfg.max_look_back_s, 50) == 10
+        assert hcfg.segments(hcfg.max_look_back_s) == 10
 
     def test_clipped_at_stream_start(self):
         rows = confident_rows([0] * 6)
@@ -287,9 +287,21 @@ class TestGeneratePseudoLabels:
 
     def test_duration_to_segment_conversions(self):
         hcfg = HeuristicConfig()
-        assert hcfg.segments(hcfg.unstable_len_s, 50) == 30
-        assert hcfg.segments(hcfg.max_len_unstable_s, 50) == 40
-        assert hcfg.segments(1.0, 50) == 20
+        assert hcfg.segments(hcfg.unstable_len_s) == 30
+        assert hcfg.segments(hcfg.max_len_unstable_s) == 40
+        assert hcfg.segments(1.0) == 20
+
+    @pytest.mark.parametrize("field", ["unstable_len_s", "max_len_unstable_s", "max_look_back_s"])
+    @pytest.mark.parametrize("seconds", [0.02, 0.025, 0.0, -1.0, float("nan"), float("inf"), 1e308])
+    def test_duration_under_one_segment_rejected(self, field, seconds):
+        # 0.025 s is half a 50 ms stride, which round() takes to 0 segments
+        with pytest.raises(ParameterError):
+            HeuristicConfig(**{field: seconds})
+
+    @pytest.mark.parametrize("field", ["unstable_len_s", "max_len_unstable_s", "max_look_back_s"])
+    def test_one_segment_duration_accepted(self, field):
+        hcfg = HeuristicConfig(**{field: 0.05})
+        assert hcfg.segments(getattr(hcfg, field)) == 1
 
     def test_oscillation_is_a_dropped_range(self):
         rows = np.vstack([

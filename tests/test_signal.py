@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from semgcal import (
-    EmptyInputError,
-    ParameterError,
-    RawRecording,
-    Segment,
-    ShapeError,
-    build_spectrogram_example,
-    hann_window,
-    segment_stream,
-    spectrogram_channel,
-)
+from semgcal import EmptyInputError, ParameterError, ShapeError
 from semgcal.experiment import featurize
 from semgcal.signal import (
     BANDPASS_HIGH_HZ,
@@ -25,8 +15,14 @@ from semgcal.signal import (
     SAMPLE_RATE_HZ,
     SPEC_HOP,
     SPEC_WIN,
+    RawRecording,
+    Segment,
     bandpass,
+    build_spectrogram_example,
     design_bandpass,
+    hann_window,
+    segment_stream,
+    spectrogram_channel,
     spectrograms,
     window_starts,
 )

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from semgcal import (
-    DataError,
-    EmptyInputError,
-    NumericError,
-    ShapeError,
+from semgcal import DataError, EmptyInputError, NumericError, ShapeError
+from semgcal.stats import (
+    WILCOXON_EXACT_MAX,
+    _chi2_sf,
+    _norm_sf,
+    _rankdata,
     accuracy,
     cohens_dz,
     friedman_test,
     holm_posthoc,
     wilcoxon_signed_rank,
 )
-from semgcal.stats import _chi2_sf, _norm_sf, _rankdata
 
 
 class TestAccuracy:
@@ -150,8 +150,8 @@ class TestHolm:
         assert all(a <= b + 1e-15 for a, b in zip(adjusted_in_order, adjusted_in_order[1:]))
 
 
-def wilcoxon_enum_oracle(diffs, alternative):
-    """Explicit 2^n enumeration of sign flips."""
+def wilcoxon_enum_oracle(diffs):
+    """Two-sided p by explicit 2^n enumeration of sign flips."""
     diffs = np.asarray(diffs, dtype=float)
     diffs = diffs[diffs != 0]
     n = len(diffs)
@@ -163,10 +163,6 @@ def wilcoxon_enum_oracle(diffs, alternative):
     w_all = np.array(w_all)
     p_ge = np.mean(w_all >= w_obs - 1e-12)
     p_le = np.mean(w_all <= w_obs + 1e-12)
-    if alternative == "greater":
-        return min(1.0, p_ge)
-    if alternative == "less":
-        return min(1.0, p_le)
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
@@ -175,28 +171,31 @@ class TestWilcoxon:
         a = np.arange(8.0)
         assert wilcoxon_signed_rank(a, a) == 1.0
 
-    def test_five_positive_differences_one_sided(self):
+    def test_five_positive_differences(self):
+        # all 5 signs positive: W+ = 15 is the largest of 32 sign patterns
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         b = a - 1.0
-        assert wilcoxon_signed_rank(a, b, alternative="greater") == pytest.approx(1 / 32)
+        assert wilcoxon_signed_rank(a, b) == pytest.approx(2 / 32)
 
     def test_exact_matches_enumeration_n12(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = rng.standard_normal(12)
             b = rng.standard_normal(12)
-            for alt in ("two-sided", "greater", "less"):
-                ours = wilcoxon_signed_rank(a, b, alternative=alt)
-                oracle = wilcoxon_enum_oracle(a - b, alt)
-                assert ours == pytest.approx(oracle, abs=1e-12), alt
+            assert wilcoxon_signed_rank(a, b) == pytest.approx(wilcoxon_enum_oracle(a - b), abs=1e-12)
 
     def test_exact_matches_enumeration_with_ties(self):
         a = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         b = np.array([2.0, 2.0, 3.0, 0.0, 4.0, 7.0, 4.0, 6.0])  # one zero diff, tied |d|
-        for alt in ("two-sided", "greater"):
-            assert wilcoxon_signed_rank(a, b, alternative=alt) == pytest.approx(
-                wilcoxon_enum_oracle(a - b, alt), abs=1e-12
-            )
+        assert wilcoxon_signed_rank(a, b) == pytest.approx(wilcoxon_enum_oracle(a - b), abs=1e-12)
+
+    @pytest.mark.parametrize("n, method", [(WILCOXON_EXACT_MAX, "exact"),
+                                           (WILCOXON_EXACT_MAX + 1, "approx")])
+    def test_exact_null_up_to_twenty_pairs(self, n, method):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n) + 0.4, rng.standard_normal(n)
+        ref = sps.wilcoxon(a, b, method=method, correction=True).pvalue
+        assert wilcoxon_signed_rank(a, b) == pytest.approx(ref, rel=1e-9)
 
     def test_normal_approximation_reasonable(self):
         rng = np.random.default_rng(8)

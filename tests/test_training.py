@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from semgcal import Adam, DataError, NumericError, TrainConfig, build_tsd_dnn, fit
+from semgcal import DataError, NumericError, build_tsd_dnn, fit
 from semgcal.autodiff import Tensor, cross_entropy, mean_all, mul, sum_all
 from semgcal.nn import build_spectrogram_convnet
-from semgcal.optim import BETA1, BETA2, EPS
-from semgcal.train import CONVNET_LR, TSD_DNN_LR, _eval_loss, default_train_config, stratified_split
+from semgcal.optim import BETA1, BETA2, EPS, Adam
+from semgcal.train import (
+    CONVNET_LR,
+    TSD_DNN_LR,
+    TrainConfig,
+    _eval_loss,
+    default_train_config,
+    stratified_split,
+)
 
 
 class TestAdam:
