@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, ParameterError, UsageError, check_int
+from .errors import DataError, UsageError, check_int, check_real
 from .nn import BatchNorm, Network, _Ctx
 from .optim import Adam
 from .relabel import (
@@ -51,12 +51,10 @@ class AdaptConfig:
     dann_lambda_d: float = 0.1
 
     def __post_init__(self):
-        weights = (self.lambda_d, self.lambda_vs, self.lambda_vt, self.lambda_c,
-                   self.beta, self.dann_lambda_d)
-        if any(w < 0 for w in weights):
-            raise ParameterError("loss weights must be >= 0")
-        if self.vat_epsilon <= 0:
-            raise ParameterError(f"vat_epsilon must be > 0, got {self.vat_epsilon}")
+        for name in ("lambda_d", "lambda_vs", "lambda_vt", "lambda_c", "beta", "dann_lambda_d"):
+            check_real(name, getattr(self, name), 0.0)
+        check_real("vat_epsilon", self.vat_epsilon, 0.0, strict=True)
+        check_real("vat_xi", self.vat_xi, 0.0, strict=True)
         check_int("dirt_t_iterations", self.dirt_t_iterations, 1)
         check_int("dirt_t_steps_per_iter", self.dirt_t_steps_per_iter, 1)
 

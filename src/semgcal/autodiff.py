@@ -1,23 +1,39 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-A `Tensor` wraps an ndarray and records the operations that produced it;
-calling `backward()` on a scalar loss walks the tape in reverse topological
-order and accumulates gradients into every reachable tensor that requires
-them. Only the operations needed by the two network architectures and the
-adaptation losses are implemented.
+A `Tensor` wraps an ndarray. An op whose inputs need a gradient while
+recording is on gives its output a `Node`, the output's place on the tape:
+the node holds the op's backward closure, the gradient sinks of its inputs
+(`parents`), its own gradient and a `released` flag, but never the output
+value. A gradient sink is a leaf `Tensor` (a parameter, or another tensor
+created with `requires_grad=True`) or a `Node`, never an interior `Tensor`,
+so the tape keeps an activation only where a backward closure reads it, as
+PyTorch's autograd does (Paszke et al. 2019). Calling `backward()` on a
+scalar loss walks the nodes in reverse topological order; each closure
+receives the node's gradient and its input sinks, and accumulates into every
+sink that is not None. Only the operations needed by the two network
+architectures and the adaptation losses are implemented.
 
-The walk releases the graph as it goes, as PyTorch's autograd does without
-`retain_graph` (Paszke et al. 2019): once a node's closure has run, the node
-drops its gradient, its parents and the closure, and with the closure every
-array the forward pass saved for it. Only the leaves (parameters and other
-tensors created with `requires_grad=True`) keep their gradients. So
-`backward()` runs once per graph; a second call raises `UsageError`.
+The walk releases the graph as it goes, as autograd does without
+`retain_graph`: once a node's closure has run, the node drops its gradient,
+its parents and the closure, and with the closure every array the forward
+pass saved for it. Only the leaves keep their gradients. So `backward()`
+runs once per graph; a second call raises `UsageError`.
 
-What a closure saves is kept small: it refers to its parents' arrays and to
-its own output rather than copying them, and recomputes what it can from
-them (`conv2d` gathers its im2col columns again). Beyond those, the only
-activation-sized arrays any op saves are batch norm's `xhat` and dropout's
-one-byte mask; the softmax family saves arrays of the logits' (N, K) size.
+What each node keeps, besides scalars, shapes and dtypes:
+- `conv2d` and `linear`: the input array and the weight array (`conv2d`
+  gathers its im2col columns again from the input);
+- `batch_norm`: `xhat`, the `gamma` array and the (C,) `inv_std`;
+- `leaky_relu`: a one-byte `input > 0` mask, built only when the op is
+  recorded;
+- `dropout`: its one-byte keep mask;
+- `global_avg_pool`, `_channel_major`, `concat`, the sums and means, `add`,
+  `sub`, `neg` and `gradient_reversal`: nothing activation-sized;
+- `mul`: both operand arrays; `exp`, `softmax`, `log_softmax` and
+  `cross_entropy`: arrays of the logits' (N, K) size.
+
+An interior activation is therefore freed as soon as the caller drops its
+`Tensor`, unless the next op's closure reads it: a ConvNet block keeps its
+input, `xhat` and two masks, about 10 bytes per activation element.
 """
 
 from __future__ import annotations
@@ -57,17 +73,52 @@ def grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
+class _Sink:
+    """What a backward closure accumulates into: a leaf `Tensor` or a `Node`."""
+
+    __slots__ = ("grad",)
+
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add `g` to this sink's gradient.
+
+        `owned` says the caller created `g` for this call and holds it nowhere
+        else, so a first gradient of the sink's dtype is `g` itself. Any
+        other array, such as an output gradient passed through unchanged or a
+        view of one, is copied: no two gradients ever share memory.
+        """
+        if self.grad is None:
+            if owned and type(g) is np.ndarray and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
+class Node(_Sink):
+    """A recorded op's output on the tape: its backward closure, the gradient
+    sinks of the op's inputs (None where an input needs no gradient), the
+    output's dtype and gradient, and whether a walk has released it."""
+
+    __slots__ = ("parents", "backward", "dtype", "released")
+
+    def __init__(self, parents: tuple, backward, dtype):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+        self.dtype = dtype
+        self.released = False
+
+
+class Tensor(_Sink):
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        # True once a backward() walk has released this node's graph state.
-        self._released = False
+        # The op that produced this tensor, when it was recorded.
+        self.node: Node | None = None
 
     @property
     def shape(self):
@@ -80,39 +131,27 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False):
-        """Add `g` to this tensor's gradient.
-
-        `owned` says the caller created `g` for this call and holds it nowhere
-        else, so a first gradient of the tensor's dtype is `g` itself. Any
-        other array, such as an output gradient passed through unchanged or a
-        view of one, is copied: no two gradients ever share memory.
-        """
-        if self.grad is None:
-            if owned and type(g) is np.ndarray and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every leaf reachable on the tape.
 
-        Each non-leaf node is released as soon as its closure has run: its
-        `grad`, `_parents` and `_backward` are cleared, which frees the
-        gradient and the arrays the closure saved. The leaves keep their
-        gradients. A graph can therefore be walked once; calling `backward()`
-        again on it, or on any graph that shares a released node, raises
-        `UsageError` before any gradient changes.
+        Each node is released as soon as its closure has run: its `grad`,
+        `parents` and `backward` are cleared, which frees the gradient and
+        the arrays the closure saved. The leaves keep their gradients. A
+        graph can therefore be walked once; calling `backward()` again on
+        it, or on any graph that shares a released node, raises `UsageError`
+        before any gradient changes.
         """
         if self.data.size != 1:
             raise UsageError("backward() requires a scalar loss")
-        if self._backward is None and not self.requires_grad:
-            raise UsageError("backward() on a tensor detached from any recorded graph")
-        topo: list[Tensor] = []
+        root = self.node
+        if root is None:
+            if not self.requires_grad:
+                raise UsageError("backward() on a tensor detached from any recorded graph")
+            self.grad = np.ones_like(self.data)  # a leaf loss is its own gradient
+            return
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -120,24 +159,22 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._released:
+            if node.released:
                 raise UsageError("backward() on a graph already released by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if type(p) is Node and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is None:
-                continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node.grad)
+                node.backward(node.grad, *node.parents)
             node.grad = None
-            node._parents = ()
-            node._backward = None
-            node._released = True
+            node.parents = ()
+            node.backward = None
+            node.released = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -147,12 +184,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _recorded(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on `inputs` goes on the tape: recording is on and some
+    input needs a gradient."""
+    return getattr(_state, "grad_enabled", True) and any(t.requires_grad for t in inputs)
+
+
+def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """The op's output `Tensor`, with a `Node` when the op is recorded.
+
+    `backward(g, *sinks)` receives the output gradient and one sink per
+    input: the input's node, the input itself if it is a leaf that needs a
+    gradient, or None.
+    """
     out = Tensor(data)
-    if getattr(_state, "grad_enabled", True) and any(p.requires_grad for p in parents):
+    if _recorded(inputs):
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+        sinks = tuple(t.node if t.node is not None else (t if t.requires_grad else None) for t in inputs)
+        out.node = Node(sinks, backward, out.data.dtype)
     return out
 
 
@@ -171,48 +220,51 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            b._accumulate(gb, owned=gb is not g)
+    def backward(g, sa, sb):
+        if sa is not None:
+            ga = _unbroadcast(g, a_shape)
+            sa._accumulate(ga, owned=ga is not g)
+        if sb is not None:
+            gb = _unbroadcast(g, b_shape)
+            sb._accumulate(gb, owned=gb is not g)
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.data.shape), owned=True)
+    def backward(g, sa, sb):
+        if sa is not None:
+            ga = _unbroadcast(g, a_shape)
+            sa._accumulate(ga, owned=ga is not g)
+        if sb is not None:
+            sb._accumulate(-_unbroadcast(g, b_shape), owned=True)
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_data, b_data = a.data, b.data
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+    def backward(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_unbroadcast(g * b_data, a_data.shape), owned=True)
+        if sb is not None:
+            sb._accumulate(_unbroadcast(g * a_data, b_data.shape), owned=True)
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(a_data * b_data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
-    def backward(g):
-        a._accumulate(-g, owned=True)
+    def backward(g, sa):
+        sa._accumulate(-g, owned=True)
 
     return _make(-a.data, (a,), backward)
 
@@ -221,8 +273,8 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
 
-    def backward(g):
-        a._accumulate(g * out_data, owned=True)
+    def backward(g, sa):
+        sa._accumulate(g * out_data, owned=True)
 
     return _make(out_data, (a,), backward)
 
@@ -231,49 +283,61 @@ def concat(tensors: list[Tensor]) -> Tensor:
     """The tensors stacked along axis 0 (rows)."""
     offsets = np.cumsum([0] + [len(t.data) for t in tensors])
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi])
+    def backward(g, *sinks):
+        for s, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
+            if s is not None:
+                s._accumulate(g[lo:hi])
 
     return _make(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
+    shape, dtype = a.data.shape, a.data.dtype
+
+    def backward(g, sa):
+        sa._accumulate(np.broadcast_to(g, shape).astype(dtype), owned=True)
 
     return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+    n, shape, dtype = a.data.size, a.data.shape, a.data.dtype
 
-    def backward(g):
-        a._accumulate(np.broadcast_to(g / n, a.data.shape).astype(a.data.dtype), owned=True)
+    def backward(g, sa):
+        sa._accumulate(np.broadcast_to(g / n, shape).astype(dtype), owned=True)
 
     return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
-    def backward(g):
+    shape, dtype = a.data.shape, a.data.dtype
+
+    def backward(g, sa):
         g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
+        sa._accumulate(np.broadcast_to(g, shape).astype(dtype), owned=True)
 
     return _make(a.data.sum(axis=axis), (a,), backward)
 
 
 def leaky_relu(a: Tensor) -> Tensor:
-    """max(a, LEAKY_SLOPE * a): the leaky ReLU, as the slope is in [0, 1]."""
-    data = a.data
+    """max(a, LEAKY_SLOPE * a): the leaky ReLU, as the slope is in [0, 1].
 
-    def backward(g):
+    A recorded op keeps the one-byte mask `a > 0`, not `a`; an unrecorded
+    one builds no mask.
+    """
+    data = a.data
+    out_data = np.maximum(data, LEAKY_SLOPE * data)
+    if not _recorded((a,)):
+        return Tensor(out_data)
+    positive = (data > 0).view(np.uint8)
+
+    def backward(g, sa):
         # g times 1 or the slope, looked up per element: the bits of
         # np.where(data > 0, g, LEAKY_SLOPE * g) without a branch per element.
-        factor = np.array([LEAKY_SLOPE, 1.0], dtype=g.dtype).take((data > 0).view(np.uint8))
-        a._accumulate(g * factor, owned=True)
+        factor = np.array([LEAKY_SLOPE, 1.0], dtype=g.dtype).take(positive)
+        sa._accumulate(g * factor, owned=True)
 
-    return _make(np.maximum(data, LEAKY_SLOPE * data), (a,), backward)
+    return _make(out_data, (a,), backward)
 
 
 def dropout(a: Tensor, rng: np.random.Generator) -> Tensor:
@@ -293,15 +357,16 @@ def dropout(a: Tensor, rng: np.random.Generator) -> Tensor:
     # kept / (1 - p) and multiplies it into its input in place: the bits of
     # x * factor, as multiplication commutes.
     kept = np.ascontiguousarray(kept)
+    dtype = a.data.dtype
 
     def times_factor(x):
-        out = kept.astype(a.data.dtype)
+        out = kept.astype(dtype)
         out /= 1.0 - DROPOUT_P
         out *= x
         return out
 
-    def backward(g):
-        a._accumulate(times_factor(g), owned=True)
+    def backward(g, sa):
+        sa._accumulate(times_factor(g), owned=True)
 
     return _make(times_factor(a.data), (a,), backward)
 
@@ -309,24 +374,25 @@ def dropout(a: Tensor, rng: np.random.Generator) -> Tensor:
 def gradient_reversal(a: Tensor, lambda_d: float = 1.0) -> Tensor:
     """Identity in the forward pass; scales the gradient by -lambda_d in the backward pass."""
 
-    def backward(g):
-        a._accumulate(-lambda_d * g, owned=True)
+    def backward(g, sa):
+        sa._accumulate(-lambda_d * g, owned=True)
 
     return _make(a.data, (a,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b with w of shape (out, in)."""
+    x_data, w_data = x.data, w.data
 
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data, owned=True)
-        if w.requires_grad:
-            w._accumulate(g.T @ x.data, owned=True)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0), owned=True)
+    def backward(g, sx, sw, sb):
+        if sx is not None:
+            sx._accumulate(g @ w_data, owned=True)
+        if sw is not None:
+            sw._accumulate(g.T @ x_data, owned=True)
+        if sb is not None:
+            sb._accumulate(g.sum(axis=0), owned=True)
 
-    return _make(x.data @ w.data.T + b.data, (x, w, b), backward)
+    return _make(x_data @ w_data.T + b.data, (x, w, b), backward)
 
 
 def _chan_sum(a: np.ndarray) -> np.ndarray:
@@ -352,8 +418,8 @@ def _channel_major(x: Tensor) -> Tensor:
     The backward pass hands the input a sample-major copy of the gradient.
     """
 
-    def backward(g):
-        x._accumulate(g.transpose(1, 0, 2, 3).copy(), owned=True)
+    def backward(g, sx):
+        sx._accumulate(g.transpose(1, 0, 2, 3).copy(), owned=True)
 
     return _make(x.data.transpose(1, 0, 2, 3), (x,), backward)
 
@@ -390,27 +456,28 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     add per kernel offset (col2im). There is no bias: the batch norm that
     follows every convolution absorbs it.
     """
-    c, n, h, wd = x.data.shape
-    o, c2, kh, kw = w.data.shape
+    x_data = x.data
+    c, n, h, wd = x_data.shape
+    o, c2, kh, kw = w_shape = w.data.shape
     if c != c2:
         raise ShapeError(f"input has {c} channels but kernel expects {c2}")
     oh, ow = h - kh + 1, wd - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{wd})")
     w_flat = w.data.reshape(o, -1)
-    out_data = (w_flat @ _columns(x.data, kh, kw)).reshape(o, n, oh, ow)
+    out_data = (w_flat @ _columns(x_data, kh, kw)).reshape(o, n, oh, ow)
 
-    def backward(g):
+    def backward(g, sx, sw):
         g_t = g.reshape(o, n * oh * ow)
-        if w.requires_grad:
-            w._accumulate((g_t @ _columns(x.data, kh, kw).T).reshape(w.data.shape), owned=True)
-        if x.requires_grad:
+        if sw is not None:
+            sw._accumulate((g_t @ _columns(x_data, kh, kw).T).reshape(w_shape), owned=True)
+        if sx is not None:
             dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
-            dx = np.zeros_like(x.data)
+            dx = np.zeros_like(x_data)
             for i in range(kh):
                 for j in range(kw):
                     dx[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
-            x._accumulate(dx, owned=True)
+            sx._accumulate(dx, owned=True)
 
     return _make(out_data, (x, w), backward)
 
@@ -422,11 +489,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     Each mean is the pairwise sum of one (c, n) plane divided by H*W, the
     arithmetic of `(N, C, H, W).mean(axis=(2, 3))`.
     """
-    c, n, h, w = x.data.shape
+    c, n, h, w = shape = x.data.shape
+    dtype = x.data.dtype
 
-    def backward(g):
-        dx = np.broadcast_to((g.T / (h * w))[:, :, None, None], x.data.shape)
-        x._accumulate(dx.astype(x.data.dtype, order="C"), owned=True)
+    def backward(g, sx):
+        dx = np.broadcast_to((g.T / (h * w))[:, :, None, None], shape)
+        sx._accumulate(dx.astype(dtype, order="C"), owned=True)
 
     means = np.add.reduce(x.data.reshape(c, n, h * w), axis=2)
     np.true_divide(means, np.intp(h * w), out=means, casting="unsafe")
@@ -455,7 +523,8 @@ def batch_norm(
     def expand(v):
         return v.reshape(shape)
 
-    m = x.data.size // gamma.data.size
+    gamma_data = gamma.data
+    m = x.data.size // gamma_data.size
 
     if training:
         # The arithmetic of x.mean() and x.var() (a sum, then true division
@@ -474,16 +543,16 @@ def batch_norm(
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= expand(inv_std)
 
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accumulate(_chan_sum(g * xhat), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(_chan_sum(g), owned=True)
-            if x.requires_grad:
+        def backward(g, sx, sgamma, sbeta):
+            if sgamma is not None:
+                sgamma._accumulate(_chan_sum(g * xhat), owned=True)
+            if sbeta is not None:
+                sbeta._accumulate(_chan_sum(g), owned=True)
+            if sx is not None:
                 # (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / m) * inv_std
                 # (Ioffe & Szegedy 2015), built in place with Python's
                 # left-to-right order: the product xhat * sum is divided by m.
-                dxhat = g * expand(gamma.data)
+                dxhat = g * expand(gamma_data)
                 proj = dxhat * xhat
                 proj_sum = _chan_sum(proj)
                 dxhat_mean = _chan_sum(dxhat)
@@ -493,22 +562,22 @@ def batch_norm(
                 dxhat -= expand(dxhat_mean)
                 dxhat -= proj
                 dxhat *= expand(inv_std)
-                x._accumulate(dxhat, owned=True)
+                sx._accumulate(dxhat, owned=True)
 
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + BN_EPS)
         xhat = x.data - expand(running_mean.astype(x.data.dtype))
         xhat *= expand(inv_std)
 
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accumulate(_chan_sum(g * xhat), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(_chan_sum(g), owned=True)
-            if x.requires_grad:
-                x._accumulate(g * expand(gamma.data * inv_std), owned=True)
+        def backward(g, sx, sgamma, sbeta):
+            if sgamma is not None:
+                sgamma._accumulate(_chan_sum(g * xhat), owned=True)
+            if sbeta is not None:
+                sbeta._accumulate(_chan_sum(g), owned=True)
+            if sx is not None:
+                sx._accumulate(g * expand(gamma_data * inv_std), owned=True)
 
-    out_data = xhat * expand(gamma.data)
+    out_data = xhat * expand(gamma_data)
     out_data += expand(beta.data)
     return _make(out_data, (x, gamma, beta), backward)
 
@@ -520,8 +589,8 @@ def log_softmax(x: Tensor) -> Tensor:
     ls = shifted - lse
     probs = np.exp(ls)
 
-    def backward(g):
-        x._accumulate(g - probs * g.sum(axis=1, keepdims=True), owned=True)
+    def backward(g, sx):
+        sx._accumulate(g - probs * g.sum(axis=1, keepdims=True), owned=True)
 
     return _make(ls, (x,), backward)
 
@@ -531,8 +600,8 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
 
-    def backward(g):
-        x._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)), owned=True)
+    def backward(g, sx):
+        sx._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)), owned=True)
 
     return _make(p, (x,), backward)
 
@@ -545,10 +614,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     ls = shifted - lse
     loss = -ls[np.arange(n), labels].mean()
 
-    def backward(g):
+    def backward(g, s):
         probs = np.exp(ls)
         probs[np.arange(n), labels] -= 1.0
-        logits._accumulate(g * probs / n, owned=True)
+        s._accumulate(g * probs / n, owned=True)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the integer check of every
-config."""
+"""Exception types shared across the package, and the integer and real checks
+of every config."""
+
+import math
+import numbers
 
 
 class SemgCalError(Exception):
@@ -40,3 +43,24 @@ def check_int(name: str, value, minimum: int | None) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_real(name: str, value, low: float | None = None, high: float | None = None,
+               strict: bool = False) -> None:
+    """Raise ParameterError unless `value` is a finite real number (an int or
+    float, not a bool) in [low, high], or in (low, high) when `strict`. A
+    bound of None is no bound."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok:
+        try:
+            v = float(value)
+        except OverflowError:  # an int too large for a float
+            ok = False
+        else:
+            ok = (math.isfinite(v)
+                  and (low is None or (v > low if strict else v >= low))
+                  and (high is None or (v < high if strict else v <= high)))
+    if not ok:
+        lo = "(-inf" if low is None else f"{'(' if strict else '['}{low}"
+        hi = "inf)" if high is None else f"{high}{')' if strict else ']'}"
+        raise ParameterError(f"{name} must be a finite number in {lo}, {hi}, got {value!r}")

@@ -75,9 +75,14 @@ class HarnessConfig:
         check_int("gestures", self.gestures, None)
         if self.gestures not in (7, 11):
             raise ParameterError(f"gestures must be 7 or 11, got {self.gestures}")
+        if (not isinstance(self.algorithms, (list, tuple)) or not self.algorithms
+                or not all(isinstance(a, str) for a in self.algorithms)):
+            raise ParameterError(f"algorithms must be a non-empty list of names, got {self.algorithms!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ParameterError(f"unknown algorithms: {sorted(unknown)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ParameterError(f"algorithms must be distinct, got {list(self.algorithms)}")
         check_int("workers", self.workers, 1)
         # Fields left None are derived; `from_overrides` derives them again.
         self._derived = tuple(name for name in ("heuristic", "adapt_train") if getattr(self, name) is None)

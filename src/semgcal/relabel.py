@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_real
 from .signal import STRIDE_MS
 
 _MV_BLOCK = 1024  # median-vote windows per vectorized median
@@ -57,13 +57,14 @@ class HeuristicConfig:
     threshold_derivative: float = 0.05
 
     def __post_init__(self):
+        for name in ("unstable_len_s", "max_len_unstable_s", "max_look_back_s", "threshold_derivative"):
+            check_real(name, getattr(self, name))
+        check_real("threshold_stable", self.threshold_stable, 0.0, 1.0, strict=True)
         durations = (self.unstable_len_s, self.max_len_unstable_s, self.max_look_back_s)
         counts = [seconds * 1000.0 / STRIDE_MS for seconds in durations]  # as `segments` counts
         if not all(math.isfinite(count) and round(count) >= 1 for count in counts):
             raise ParameterError(f"durations must be finite and round to at least one "
                                  f"{STRIDE_MS} ms segment, got {durations}")
-        if not 0.0 < self.threshold_stable < 1.0:
-            raise ParameterError(f"threshold_stable must be in (0, 1), got {self.threshold_stable}")
 
     def segments(self, seconds: float) -> int:
         return int(round(seconds * 1000.0 / STRIDE_MS))

@@ -11,12 +11,11 @@ must cope with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 from .signal import NUM_CHANNELS, SAMPLE_RATE_HZ, RawRecording
 
 INT_SCALE = 1200.0  # float signal units -> integer counts
@@ -43,12 +42,12 @@ class SynthConfig:
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)  # numpy's SeedSequence takes no negative seed
         check_int("transition_ms", self.transition_ms, 0)
-        if self.shift_scale < 0 or self.noise_scale < 0:
-            raise ParameterError("scales must be >= 0")
+        for name in ("shift_scale", "noise_scale", "gain_drift"):
+            check_real(name, getattr(self, name), 0.0)
+        for name in ("cycle_block_seconds", "eval_block_seconds"):
+            check_real(name, getattr(self, name))
         if self.gestures > 11:
             raise ParameterError(f"at most 11 gestures supported, got {self.gestures}")
-        if not all(map(math.isfinite, (self.cycle_block_seconds, self.eval_block_seconds))):
-            raise ParameterError("block lengths must be finite")
         if _samples(self.cycle_block_seconds) < 1:
             raise ParameterError(f"a {self.cycle_block_seconds} s cycle block is under one sample")
         if _samples(self.eval_block_seconds) < max(1, _ramp_samples(self.transition_ms)):

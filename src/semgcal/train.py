@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericError, ParameterError, check_int
+from .errors import DataError, NumericError, ParameterError, check_int, check_real
 from .nn import EVAL_BATCH, Network
 from .optim import Adam
 
@@ -37,12 +37,9 @@ class TrainConfig:
         for name in ("batch_size", "early_stop_patience", "anneal_patience", "max_epochs"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)  # numpy's default_rng takes no negative seed
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ParameterError(f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
-        if self.anneal_factor <= 1.0:
-            raise ParameterError(f"anneal_factor must be > 1, got {self.anneal_factor}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        check_real("validation_fraction", self.validation_fraction, 0.0, 1.0, strict=True)
+        check_real("anneal_factor", self.anneal_factor, 1.0, strict=True)
+        check_real("learning_rate", self.learning_rate, 0.0, strict=True)
 
 
 def default_train_config(kind: str, **overrides) -> TrainConfig:

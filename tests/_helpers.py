@@ -2,20 +2,30 @@
 
 import numpy as np
 
-from semgcal.autodiff import Tensor
+from semgcal.autodiff import Node, Tensor
 from semgcal.nn import BatchNorm, Dropout, LeakyReLU, Linear, Network
 
 
-def graph_tensors(loss: Tensor) -> list[Tensor]:
-    """Every tensor reachable from `loss` on the tape."""
-    seen, stack, nodes = set(), [loss], []
+def graph_sinks(loss: Tensor) -> list:
+    """Every gradient sink reachable from `loss` on the tape: its `Node`s and
+    its leaf `Tensor`s."""
+    seen, stack, sinks = set(), [loss.node], []
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-    return nodes
+        s = stack.pop()
+        if s is not None and id(s) not in seen:
+            seen.add(id(s))
+            sinks.append(s)
+            if isinstance(s, Node):
+                stack.extend(s.parents)
+    return sinks
+
+
+def saved_arrays(node: Node) -> list[np.ndarray]:
+    """The arrays a node's backward closure holds, directly or through a
+    function it calls (dropout's `times_factor`, batch norm's `expand`)."""
+    cells = [c.cell_contents for c in node.backward.__closure__ or ()]
+    cells += [c.cell_contents for f in cells if callable(f) for c in getattr(f, "__closure__", None) or ()]
+    return [v for v in cells if isinstance(v, np.ndarray)]
 
 
 def mini_net(in_dim=16, hidden=24, classes=4, seed=0, dropout=False, with_bn=True, dtype=np.float32):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _helpers import cluster_task, graph_tensors, mini_net
+from _helpers import cluster_task, graph_sinks, mini_net, saved_arrays
 
 import semgcal.adapt as adapt_mod
 from semgcal import DataError, UsageError, scadann_calibrate
@@ -18,7 +18,7 @@ from semgcal.adapt import (
     vada_train,
     vat_loss,
 )
-from semgcal.autodiff import Tensor, entropy_of_softmax
+from semgcal.autodiff import Node, Tensor, entropy_of_softmax
 from semgcal.nn import BatchNorm, Linear, Network, build_spectrogram_convnet, build_tsd_dnn
 from semgcal.relabel import entropy_rows
 from semgcal.train import TrainConfig, fit
@@ -455,7 +455,7 @@ def _copying_accumulate(self, g, owned=False):
     """`Tensor._accumulate` as it was before it took ownership of fresh
     gradients, kept as an oracle: every first gradient is copied."""
     if self.grad is None:
-        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        self.grad = np.array(g, dtype=self.dtype, copy=True)
     else:
         self.grad += g
 
@@ -483,9 +483,10 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("kind", sorted(_ARCHITECTURES))
     @pytest.mark.parametrize("algo", ["dann", "vada"])
     def test_no_gradient_shares_memory(self, monkeypatch, kind, algo):
-        # backward() releases every non-leaf gradient as it walks, so the
-        # nodes are collected before the walk and each gradient array is
-        # recorded, and kept alive, when `_accumulate` first sets it.
+        # backward() releases every node as it walks, so the arrays on the
+        # tape (the leaves' values and what each closure saved) are
+        # collected before the walk, and each gradient array is recorded,
+        # and kept alive, when `_accumulate` first sets it.
         original_backward, original_accumulate = Tensor.backward, Tensor._accumulate
         graphs, recorded = [], []
 
@@ -496,16 +497,19 @@ class TestGradientOwnership:
                 recorded.append(self.grad)
 
         def checked_backward(self):
-            nodes = graph_tensors(self)
+            tape = [self.data]
+            for s in graph_sinks(self):
+                tape.extend(saved_arrays(s) if isinstance(s, Node) else [s.data])
             recorded.clear()
             original_backward(self)
             grads = list(recorded)
             for i, g in enumerate(grads):
                 assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
-                assert not any(np.shares_memory(g, t.data) for t in nodes)
+                assert not any(np.shares_memory(g, a) for a in tape)
             graphs.append(len(grads))
 
-        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
+        for cls in (Tensor, Node):
+            monkeypatch.setattr(cls, "_accumulate", recording_accumulate)
         monkeypatch.setattr(Tensor, "backward", checked_backward)
         build, _ = _ARCHITECTURES[kind]
         x_src, y_src, x_tgt = _arch_task(kind)
@@ -530,7 +534,8 @@ class TestGradientOwnership:
             return adabn_adapt(model, x_tgt).state_arrays()
 
         owned = run()
-        monkeypatch.setattr(Tensor, "_accumulate", _copying_accumulate)
+        for cls in (Tensor, Node):
+            monkeypatch.setattr(cls, "_accumulate", _copying_accumulate)
         copied = run()
         assert sorted(owned) == sorted(copied)
         for name, arr in owned.items():

@@ -1,7 +1,9 @@
 """The ConvNet's hot ops against frozen copies of their earlier implementations.
 
 Two generations of oracles are kept here, verbatim but for the arguments the
-ops no longer take (the convolution's bias, the dropout rate):
+ops no longer take (the convolution's bias, the dropout rate) and the
+closures' signature: each backward closure now receives its inputs' gradient
+sinks, and writes to those in place of the input tensors:
 
 - the first implementation: `conv2d` by row-major im2col, `leaky_relu` by
   `np.where`, the batch-norm training forward by `mean` then `var`, and
@@ -56,6 +58,11 @@ def _swap01(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
+def _run_backward(out, g):
+    """Run the closure of the op that produced `out` on the gradient `g`."""
+    out.node.backward(g, *out.node.parents)
+
+
 # -- first implementation --------------------------------------------------------
 
 
@@ -68,17 +75,17 @@ def _old_conv2d(x, w):
     w_flat = w.data.reshape(o, -1)
     out_data = (cols @ w_flat.T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
-    def backward(g):
+    def backward(g, sx, sw):
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-        if w.requires_grad:
-            w._accumulate((g_mat.T @ cols).reshape(w.data.shape))
-        if x.requires_grad:
+        if sw is not None:
+            sw._accumulate((g_mat.T @ cols).reshape(w.data.shape))
+        if sx is not None:
             dcols = (g_mat @ w_flat).reshape(n, oh, ow, c, kh, kw)
             dx = np.zeros_like(x.data)
             for i in range(kh):
                 for j in range(kw):
                     dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            x._accumulate(dx)
+            sx._accumulate(dx)
 
     return _make(np.ascontiguousarray(out_data), (x, w), backward)
 
@@ -87,8 +94,8 @@ def _old_leaky_relu(a, slope=0.1):
     mask = a.data > 0
     out_data = np.where(mask, a.data, slope * a.data)
 
-    def backward(g):
-        a._accumulate(np.where(mask, g, slope * g))
+    def backward(g, sa):
+        sa._accumulate(np.where(mask, g, slope * g))
 
     return _make(out_data, (a,), backward)
 
@@ -148,8 +155,8 @@ def _old_adabn_adapt(model, x_tgt, batch_size=512):
 def _nchw_dropout(a, rng):
     keep = (rng.random(a.data.shape) >= DROPOUT_P).astype(a.data.dtype) / (1.0 - DROPOUT_P)
 
-    def backward(g):
-        a._accumulate(g * keep, owned=True)
+    def backward(g, sa):
+        sa._accumulate(g * keep, owned=True)
 
     return _make(a.data * keep, (a,), backward)
 
@@ -169,18 +176,18 @@ def _nchw_conv2d(x, w):
     w_flat = w.data.reshape(o, -1)
     out_data = (w_flat @ cols_t).reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
 
-    def backward(g):
+    def backward(g, sx, sw):
         g_t = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
-        if w.requires_grad:
-            w._accumulate((g_t @ cols_t.T).reshape(w.data.shape), owned=True)
-        if x.requires_grad:
+        if sw is not None:
+            sw._accumulate((g_t @ cols_t.T).reshape(w.data.shape), owned=True)
+        if sx is not None:
             dcols_t = (w_flat.T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dx = np.zeros_like(x.data)
             dx_t = dx.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
                     dx_t[:, :, i : i + oh, j : j + ow] += dcols_t[:, i, j]
-            x._accumulate(dx, owned=True)
+            sx._accumulate(dx, owned=True)
 
     return _make(np.ascontiguousarray(out_data), (x, w), backward)
 
@@ -188,9 +195,9 @@ def _nchw_conv2d(x, w):
 def _nchw_global_avg_pool(x):
     n, c, h, w = x.data.shape
 
-    def backward(g):
+    def backward(g, sx):
         dx = np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype)
-        x._accumulate(dx, owned=True)
+        sx._accumulate(dx, owned=True)
 
     return _make(x.data.mean(axis=(2, 3)), (x,), backward)
 
@@ -217,29 +224,29 @@ def _nchw_batch_norm(x, gamma, beta, running_mean, running_var, training, moment
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= expand(inv_std)
 
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes), owned=True)
-            if x.requires_grad:
+        def backward(g, sx, sgamma, sbeta):
+            if sgamma is not None:
+                sgamma._accumulate((g * xhat).sum(axis=axes), owned=True)
+            if sbeta is not None:
+                sbeta._accumulate(g.sum(axis=axes), owned=True)
+            if sx is not None:
                 dxhat = g * expand(gamma.data)
                 term = dxhat - dxhat.mean(axis=axes, keepdims=True) \
                     - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True) / m
-                x._accumulate(term * expand(inv_std), owned=True)
+                sx._accumulate(term * expand(inv_std), owned=True)
 
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
         xhat = x.data - expand(running_mean.astype(x.data.dtype))
         xhat *= expand(inv_std)
 
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes), owned=True)
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes), owned=True)
-            if x.requires_grad:
-                x._accumulate(g * expand(gamma.data * inv_std), owned=True)
+        def backward(g, sx, sgamma, sbeta):
+            if sgamma is not None:
+                sgamma._accumulate((g * xhat).sum(axis=axes), owned=True)
+            if sbeta is not None:
+                sbeta._accumulate(g.sum(axis=axes), owned=True)
+            if sx is not None:
+                sx._accumulate(g * expand(gamma.data * inv_std), owned=True)
 
     out_data = xhat * expand(gamma.data) + expand(beta.data)
     return _make(out_data, (x, gamma, beta), backward)
@@ -301,7 +308,7 @@ def _run_conv(op, x, w, g, channel_major=True):
     swap = _swap01 if channel_major else np.asarray
     tx, tw = Tensor(swap(x), requires_grad=True), Tensor(w.copy(), requires_grad=True)
     out = op(tx, tw)
-    out._backward(swap(g))
+    _run_backward(out, swap(g))
     for arr in (out.data, tx.grad, tw.grad):
         assert arr.flags["C_CONTIGUOUS"]
     return swap(out.data), swap(tx.grad), tw.grad
@@ -370,7 +377,7 @@ def _conv_grads(op, x, w, g, x_grad, w_grad, channel_major=True):
     operands named by `x_grad` and `w_grad` requiring a gradient."""
     swap = _swap01 if channel_major else np.asarray
     tx, tw = Tensor(swap(x), requires_grad=x_grad), Tensor(w.copy(), requires_grad=w_grad)
-    op(tx, tw)._backward(swap(g))
+    _run_backward(op(tx, tw), swap(g))
     return None if tx.grad is None else swap(tx.grad), tw.grad
 
 
@@ -408,7 +415,7 @@ class TestConv2dRegathersColumns:
         tx, tw = Tensor(_swap01(x), requires_grad=True), Tensor(w.copy())
         out = conv2d(tx, tw)
         assert len(gathers) == 1
-        out._backward(_swap01(g))
+        _run_backward(out, _swap01(g))
         assert len(gathers) == 1 and tw.grad is None
         want_dx, _ = _conv_grads(_nchw_conv2d, x, w, g, True, False, channel_major=False)
         assert tx.grad.tobytes() == _swap01(want_dx).tobytes()
@@ -449,7 +456,7 @@ class TestLeakyReluMatchesFrozenWhere:
         for op in (leaky_relu, _old_leaky_relu):
             t = Tensor(a.copy(), requires_grad=True)
             out = op(t)
-            out._backward(g)
+            _run_backward(out, g)
             results.append((out.data, t.grad))
         for got, want in zip(*results):
             assert got.dtype == want.dtype
@@ -500,7 +507,7 @@ class TestBatchNormMatchesSampleMajor:
             tg, tb = Tensor(gamma.copy(), requires_grad=True), Tensor(beta.copy(), requires_grad=True)
             rm_t, rv_t = rm.copy(), rv.copy()
             out = op(tx, tg, tb, rm_t, rv_t, training=training)
-            out._backward(layout(g))
+            _run_backward(out, layout(g))
             results.append((layout(out.data), layout(tx.grad), tg.grad, tb.grad, rm_t, rv_t))
         for name, got, want in zip(("out", "dx", "dgamma", "dbeta", "running_mean", "running_var"), *results):
             assert got.dtype == want.dtype, name
@@ -529,8 +536,8 @@ class TestGlobalAvgPoolMatchesSampleMajor:
         new_x, old_x = Tensor(_swap01(x), requires_grad=True), Tensor(x.copy(), requires_grad=True)
         new, old = global_avg_pool(new_x), _nchw_global_avg_pool(old_x)
         assert new.data.shape == (n, 167) and new.data.flags["C_CONTIGUOUS"]
-        new._backward(g)
-        old._backward(g)
+        _run_backward(new, g)
+        _run_backward(old, g)
         assert new.data.tobytes() == old.data.tobytes()
         assert new_x.grad.flags["C_CONTIGUOUS"]
         assert _swap01(new_x.grad).tobytes() == old_x.grad.tobytes()
@@ -547,7 +554,7 @@ class TestDropoutDrawMatchesSampleMajor:
             t = Tensor(layout(x), requires_grad=True)
             draw = np.random.default_rng(7)
             out = op(t, draw)
-            out._backward(layout(g))
+            _run_backward(out, layout(g))
             results.append((layout(out.data), layout(t.grad), draw.random()))
         (got_out, got_dx, got_next), (want_out, want_dx, want_next) = results
         assert got_out.tobytes() == want_out.tobytes()

@@ -18,6 +18,7 @@ import semgcal.experiment as experiment
 from semgcal import DataError, EmptyInputError, ParameterError, SemgCalError, features, worker
 from semgcal.adapt import AdaptConfig
 from semgcal.dataio import canonical_json, config_digest, save_manifest, save_report
+from semgcal.errors import check_real
 from semgcal.experiment import (
     ALGORITHMS,
     UNSUPERVISED,
@@ -564,6 +565,24 @@ class TestFromOverrides:
     def test_invalid_overrides_raise_parameter_error(self, overrides):
         with pytest.raises(ParameterError):
             from_overrides(BenchmarkConfig(), overrides)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.25), np.float64(1e-300)])
+    def test_finite_numbers_in_range_pass(self, value):
+        check_real("x", value, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), float("inf"), 10**400, -0.1, 1.5])
+    def test_others_raise(self, value):
+        with pytest.raises(ParameterError, match=r"x must be a finite number in \[0.0, 1.0\]"):
+            check_real("x", value, 0.0, 1.0)
+
+    def test_strict_excludes_the_bounds(self):
+        for value in (0.0, 1.0):
+            with pytest.raises(ParameterError, match=r"in \(0.0, 1.0\)"):
+                check_real("x", value, 0.0, 1.0, strict=True)
+        check_real("x", 0.5, 0.0, 1.0, strict=True)
+        check_real("x", -1e300)  # no bound
 
 
 class TestCalibrationSettings:

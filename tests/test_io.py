@@ -28,11 +28,13 @@ from semgcal.dataio import (
     save_manifest,
     save_report,
 )
+from semgcal.adapt import AdaptConfig
 from semgcal.errors import DataError, ParameterError, ParseError, SemgCalError
 from semgcal.experiment import BenchmarkConfig
 from semgcal.nn import load_network
+from semgcal.relabel import HeuristicConfig
 from semgcal.signal import segment_stream
-from semgcal.train import default_train_config
+from semgcal.train import TrainConfig, default_train_config
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,25 @@ class TestReports:
         assert config_digest(cfg) != config_digest(small_cfg(seed=6))
 
 
+def _nested(path, value):
+    """The overrides {path[0]: {path[1]: ... value}}."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+# Every real-valued config field, as its path in an `evaluate --config` file.
+_REAL_FIELDS = [
+    *[("harness", "train", f) for f in ("learning_rate", "anneal_factor", "validation_fraction")],
+    *[("harness", "adapt", f) for f in ("lambda_d", "lambda_vs", "lambda_vt", "lambda_c", "beta",
+                                        "vat_epsilon", "vat_xi", "dann_lambda_d")],
+    *[("harness", "heuristic", f) for f in ("unstable_len_s", "threshold_stable", "max_len_unstable_s",
+                                            "max_look_back_s", "threshold_derivative")],
+    *[("synth", f) for f in ("shift_scale", "noise_scale", "cycle_block_seconds", "eval_block_seconds",
+                             "gain_drift")],
+]
+
+
 class TestCli:
     def test_synth_then_train_then_adapt_smoke(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -438,6 +459,61 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be an integer" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_every_real_field_is_checked_below(self):
+        configs = {"train": TrainConfig(), "adapt": AdaptConfig(), "heuristic": HeuristicConfig(),
+                   "synth": SynthConfig()}
+        reals = {(name, f.name) for name, cfg in configs.items() for f in dataclasses.fields(cfg)
+                 if type(getattr(cfg, f.name)) is float}
+        assert reals == {path[-2:] for path in _REAL_FIELDS}
+
+    @pytest.mark.parametrize("overrides", [
+        *[_nested(path, "1") for path in _REAL_FIELDS],
+        {"harness": {"train": {"learning_rate": float("nan")}}},
+        {"harness": {"train": {"learning_rate": 0}}},
+        {"harness": {"train": {"anneal_factor": 1}}},
+        {"harness": {"train": {"validation_fraction": True}}},
+        {"harness": {"adapt_train": {"learning_rate": float("inf")}}},
+        {"harness": {"heuristic": {"threshold_derivative": None}}},
+        {"harness": {"heuristic": {"unstable_len_s": [1.5]}}},
+        {"harness": {"adapt": {"vat_epsilon": float("-inf")}}},
+        {"harness": {"adapt": {"lambda_d": -0.1}}},
+        {"synth": {"shift_scale": None}},
+        {"synth": {"gain_drift": float("nan")}},
+        {"synth": {"cycle_block_seconds": False}},
+    ], ids=json.dumps)
+    def test_evaluate_bad_real_exits_1_before_anything_runs(self, tmp_path, capsys,
+                                                            monkeypatch, overrides):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps(overrides))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a finite number" in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("algorithms, message", [
+        ([], "algorithms must be a non-empty list of names, got ()"),
+        ("nocal", "algorithms must be a non-empty list of names, got 'nocal'"),
+        ([1], "algorithms must be a non-empty list of names, got (1,)"),
+        (["nocal", "nocal"], "algorithms must be distinct, got ['nocal', 'nocal']"),
+    ], ids=["empty", "a-string", "not-names", "repeated"])
+    def test_evaluate_bad_algorithms_exit_1_before_anything_runs(self, tmp_path, capsys, monkeypatch,
+                                                                 algorithms, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"synth": {"subjects": 2}, "harness": {"algorithms": algorithms}}))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report").exists()
 
     def test_evaluate_float_count_of_a_two_subject_study_prints_no_traceback(self, tmp_path):
