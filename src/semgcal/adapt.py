@@ -59,11 +59,6 @@ class AdaptConfig:
         check_int("dirt_t_steps_per_iter", self.dirt_t_steps_per_iter, 1)
 
 
-def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     flat = x.reshape(len(x), -1)
     return np.sqrt(np.sum(flat * flat, axis=1)).reshape((len(x),) + (1,) * (x.ndim - 1))
@@ -87,14 +82,8 @@ def vat_reference(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Uses the same-precision log softmax so that an unperturbed forward pass
     reproduces ls0 bit for bit and the divergence is exactly zero.
     """
-    was_training = model.training
-    model.eval()
-    try:
-        with ad.no_grad():
-            ls0 = ad.log_softmax(model.logits(x)).data
-        return np.exp(ls0), ls0
-    finally:
-        model.train(was_training)
+    ls0 = ad.log_softmax_rows(model.eval_logits(x))
+    return np.exp(ls0), ls0
 
 
 def vat_perturbation(model: Network, x: np.ndarray, p0: np.ndarray, ls0: np.ndarray,
@@ -103,45 +92,35 @@ def vat_perturbation(model: Network, x: np.ndarray, p0: np.ndarray, ls0: np.ndar
     the input-space gradient of KL(p0 || h(x + xi d)) at a random unit d,
     rescaled to epsilon. Treated as a constant by the training losses."""
     x = np.asarray(x, dtype=np.float32)
-    was_training = model.training
-    model.eval()
-    try:
-        d = rng.standard_normal(x.shape)
-        d /= _row_norms(d) + 1e-12
-        with _params_frozen(model):
-            # the curvature probe runs in float64: at xi = 1e-6 the divergence
-            # is ~xi^2 and its gradient would vanish in float32 rounding noise
-            probe = Tensor(x.astype(np.float64) + xi * d, requires_grad=True)
-            ad.kl_to_fixed(p0.astype(np.float64), ls0.astype(np.float64),
-                           model.logits(probe)).backward()
-            g = probe.grad
-        return (epsilon * g / (_row_norms(g) + 1e-12)).astype(x.dtype)
-    finally:
-        model.train(was_training)
+    d = rng.standard_normal(x.shape)
+    d /= _row_norms(d) + 1e-12
+    with model.evaluating(), _params_frozen(model):
+        # the curvature probe runs in float64: at xi = 1e-6 the divergence
+        # is ~xi^2 and its gradient would vanish in float32 rounding noise
+        probe = Tensor(x.astype(np.float64) + xi * d, requires_grad=True)
+        ad.kl_to_fixed(p0.astype(np.float64), ls0.astype(np.float64),
+                       model.logits(probe)).backward()
+    g = probe.grad
+    return (epsilon * g / (_row_norms(g) + 1e-12)).astype(x.dtype)
 
 
 def vat_loss_at(model: Network, x: np.ndarray, r: np.ndarray,
                 p0: np.ndarray, ls0: np.ndarray) -> Tensor:
     """Mean KL(p0 || h(x + r)) with p0 and r held constant; differentiable
     with respect to the parameters only (eval-mode forward)."""
-    was_training = model.training
-    model.eval()
-    try:
+    with model.evaluating():
         return ad.kl_to_fixed(p0, ls0, model.logits(np.asarray(x, dtype=np.float32) + r))
-    finally:
-        model.train(was_training)
 
 
-def vat_loss(model: Network, batch: np.ndarray, epsilon: float, xi: float = 1e-6,
-             rng: np.random.Generator | None = None) -> Tensor:
+def vat_loss(model: Network, batch: np.ndarray, epsilon: float, xi: float = 1e-6, *,
+             rng: np.random.Generator) -> Tensor:
     """Virtual adversarial loss: mean KL(h(x) || h(x + r)) for the adversarial
-    perturbation r of norm epsilon found by one power iteration.
+    perturbation r of norm epsilon found by one power iteration from `rng`.
 
     Runs the network in eval mode (deterministic forward, no dropout, batch
     norm on running statistics); the returned tensor is differentiable with
     respect to the parameters only.
     """
-    rng = rng or np.random.default_rng(0)
     x = np.asarray(batch, dtype=np.float32)
     p0, ls0 = vat_reference(model, x)
     if epsilon == 0.0:
@@ -235,9 +214,9 @@ def vada_train(model: Network, x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.n
             dom, feats_t = _domain_loss(mdl, rng, feats_s, xt_b, acfg.lambda_d)
             terms.append(dom)
         if acfg.lambda_vs > 0:
-            terms.append(ad.mul(vat_loss(mdl, xb, acfg.vat_epsilon, acfg.vat_xi, rng), acfg.lambda_vs))
+            terms.append(ad.mul(vat_loss(mdl, xb, acfg.vat_epsilon, acfg.vat_xi, rng=rng), acfg.lambda_vs))
         if acfg.lambda_vt > 0:
-            terms.append(ad.mul(vat_loss(mdl, xt_b, acfg.vat_epsilon, acfg.vat_xi, rng), acfg.lambda_vt))
+            terms.append(ad.mul(vat_loss(mdl, xt_b, acfg.vat_epsilon, acfg.vat_xi, rng=rng), acfg.lambda_vt))
         if acfg.lambda_c > 0:
             ent = ad.entropy_of_softmax(mdl.logits(xt_b, rng=rng))
             terms.append(ad.mul(ent, acfg.lambda_c))
@@ -266,15 +245,13 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
         raise DataError("empty target dataset")
     for iteration in range(acfg.dirt_t_iterations):
         teacher = model.clone()
-        teacher.eval()
         rng = np.random.default_rng((cfg.seed, iteration))
         opt = Adam(model.named_parameters(), lr=cfg.learning_rate)
         for _ in range(acfg.dirt_t_steps_per_iter):
             order = rng.permutation(len(x))
             for lo in range(0, len(order), cfg.batch_size):
                 xb = x[order[lo : lo + cfg.batch_size]]
-                with ad.no_grad():
-                    ls_t = _np_log_softmax(teacher.logits(xb).data.astype(np.float64))
+                ls_t = ad.log_softmax_rows(teacher.eval_logits(xb).astype(np.float64))
                 p_t = np.exp(ls_t)
                 model.train()
                 opt.zero_grad()
@@ -283,7 +260,7 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
                 if acfg.lambda_c > 0:
                     loss = ad.add(loss, ad.mul(ad.entropy_of_softmax(logits), acfg.lambda_c))
                 if acfg.lambda_vt > 0:
-                    loss = ad.add(loss, ad.mul(vat_loss(model, xb, acfg.vat_epsilon, acfg.vat_xi, rng), acfg.lambda_vt))
+                    loss = ad.add(loss, ad.mul(vat_loss(model, xb, acfg.vat_epsilon, acfg.vat_xi, rng=rng), acfg.lambda_vt))
                 loss.backward()
                 opt.step()
         model.zero_grad()  # so neither the next teacher nor the result copies them

@@ -582,11 +582,21 @@ def batch_norm(
     return _make(out_data, (x, gamma, beta), backward)
 
 
+def log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of a (N, K) array, shifted by each row's maximum."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a (N, K) array, shifted by each row's maximum."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log softmax of a (N, K) tensor."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ls = shifted - lse
+    ls = log_softmax_rows(x.data)
     probs = np.exp(ls)
 
     def backward(g, sx):
@@ -596,9 +606,7 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax_rows(x.data)
 
     def backward(g, sx):
         sx._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)), owned=True)
@@ -609,9 +617,7 @@ def softmax(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer labels under row-wise softmax."""
     n = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ls = shifted - lse
+    ls = log_softmax_rows(logits.data)
     loss = -ls[np.arange(n), labels].mean()
 
     def backward(g, s):

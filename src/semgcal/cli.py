@@ -19,6 +19,8 @@ import numpy as np
 from .dataio import load_report, load_session, save_dataset, save_manifest
 from .errors import DataError, SemgCalError
 from .experiment import (
+    INPUT_KINDS,
+    UNSUPERVISED,
     BenchmarkConfig,
     adapt_model,
     benchmark_report,
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--session", type=int, default=0)
-    p.add_argument("--input-kind", choices=("spectrogram", "tsd"), default="tsd")
+    p.add_argument("--input-kind", choices=INPUT_KINDS, default="tsd")
     p.add_argument("--gestures", type=int, choices=(7, 11), default=11)
     p.set_defaults(func=cmd_preprocess)
 
@@ -208,19 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--session", type=int, default=0)
-    p.add_argument("--input-kind", choices=("spectrogram", "tsd"), default="tsd")
+    p.add_argument("--input-kind", choices=INPUT_KINDS, default="tsd")
     p.add_argument("--gestures", type=int, choices=(7, 11), default=11)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("adapt", help="adapt a trained model to one unlabeled session")
-    p.add_argument("algorithm", choices=("dann", "vada", "dirtt", "adabn", "mv", "scadann"))
+    p.add_argument("algorithm", choices=UNSUPERVISED)
     _add_common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--session", type=int, required=True)
     p.add_argument("--source-session", type=int, default=0)
-    p.add_argument("--input-kind", choices=("spectrogram", "tsd"), default="tsd")
+    p.add_argument("--input-kind", choices=INPUT_KINDS, default="tsd")
     p.add_argument("--gestures", type=int, choices=(7, 11), default=11)
     p.set_defaults(func=cmd_adapt)
 
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with synth/harness overrides")
     p.add_argument("--gestures", type=int, choices=(7, 11), default=None)
-    p.add_argument("--input-kind", choices=("spectrogram", "tsd"), default=None)
+    p.add_argument("--input-kind", choices=INPUT_KINDS, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="pretty-print a saved report")

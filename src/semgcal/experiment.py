@@ -41,9 +41,10 @@ from .adapt import (
     scadann_calibrate,
     vada_train,
 )
+from .dataio import config_digest, save_manifest, save_report
 from .errors import DataError, EmptyInputError, NumericError, ParameterError, SemgCalError, check_int
 from .features import _usable_cpus, tsd_matrix
-from .nn import Network, build_spectrogram_convnet, build_tsd_dnn
+from .nn import _BUILDERS, Network
 from .relabel import HeuristicConfig
 from .signal import build_spectrogram_example  # noqa: F401 -- benchmarks/tracing.py wraps it in this module
 from .signal import bandpass, segment_stream, spectrograms, window_starts
@@ -53,7 +54,7 @@ from .train import TrainConfig, default_train_config, fit
 
 ALGORITHMS = ("nocal", "recal", "dann", "vada", "dirtt", "adabn", "mv", "scadann", "recal_scadann")
 UNSUPERVISED = ("dann", "vada", "dirtt", "adabn", "mv", "scadann")
-INPUT_KINDS = ("tsd", "spectrogram")
+INPUT_KINDS = {"tsd": "tsd_dnn", "spectrogram": "spectrogram_convnet"}  # input kind -> network kind
 
 
 @dataclass
@@ -113,8 +114,7 @@ def from_overrides(obj, overrides: dict):
     train = overrides.get("train", {})
     if isinstance(obj, HarnessConfig) and kind in INPUT_KINDS and isinstance(train, dict) \
             and "learning_rate" not in train:
-        network = "tsd_dnn" if kind == "tsd" else "spectrogram_convnet"
-        rate = default_train_config(network).learning_rate
+        rate = default_train_config(INPUT_KINDS[kind]).learning_rate
         overrides = {**overrides, "train": {**train, "learning_rate": rate}}
     fields = {f.name: f for f in dataclasses.fields(obj)}
     unknown = sorted(set(overrides) - set(fields))
@@ -223,10 +223,7 @@ def prepare_session(session, cfg: HarnessConfig) -> PreparedSession:
 
 def fit_new(cfg: HarnessConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Network:
     """A fresh network of the configured kind, trained on (x, y) under `cfg.train`."""
-    if cfg.input_kind == "tsd":
-        model = build_tsd_dnn(cfg.gestures, seed=seed)
-    else:
-        model = build_spectrogram_convnet(cfg.gestures, seed=seed)
+    model = _BUILDERS[INPUT_KINDS[cfg.input_kind]](cfg.gestures, seed=seed)
     fit(model, x, y, dataclasses.replace(cfg.train, seed=seed))
     return model
 
@@ -482,8 +479,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> dict:
             for s, info in sessions.items():
                 audit.setdefault(algo, {}).setdefault(str(s), {})[str(r.subject)] = info
 
-    from .dataio import config_digest  # local import to avoid a cycle
-
     return {
         "seed": cfg.seed,
         "config_digest": config_digest(cfg),
@@ -535,8 +530,6 @@ def _session_stats(matrix: np.ndarray, algorithms: list[str]) -> dict:
 
 def benchmark_report(cfg: BenchmarkConfig, out_dir) -> dict:
     """Run the benchmark and persist report, tables and manifest."""
-    from .dataio import save_manifest, save_report
-
     report = run_benchmark(cfg)
     save_report(report, out_dir)
     save_manifest(out_dir, cfg.seed, cfg)

@@ -9,6 +9,7 @@ can push the features toward session invariance.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import json
@@ -220,26 +221,30 @@ class Network:
             raise UsageError(f"unknown head {head!r}")
         return layer(feats, _Ctx(self.training, None))
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode gesture softmax rows, computed off-graph in batches of
-        `EVAL_BATCH`.
+    @contextlib.contextmanager
+    def evaluating(self):
+        """Eval mode for the length of the block; the training flag is
+        restored on exit, also when the block raises."""
+        was_training = self.training
+        self.training = False
+        try:
+            yield self
+        finally:
+            self.training = was_training
 
-        Zero rows give a (0, num_gestures) float32 array.
-        """
+    def eval_logits(self, x) -> np.ndarray:
+        """Eval-mode gesture logits, computed off the tape in batches of
+        `EVAL_BATCH` rows. Zero rows give a (0, num_gestures) float32 array."""
         if len(x) == 0:
             self.layer_input(x)  # the shape check every batch gets
             return np.zeros((0, self.num_gestures), dtype=np.float32)
-        was_training = self.training
-        self.eval()
-        try:
-            with ad.no_grad():
-                chunks = []
-                for lo in range(0, len(x), EVAL_BATCH):
-                    logits = self.logits(x[lo : lo + EVAL_BATCH])
-                    chunks.append(ad.softmax(logits).data)
-            return np.concatenate(chunks, axis=0)
-        finally:
-            self.train(was_training)
+        with self.evaluating(), ad.no_grad():
+            return np.concatenate([self.logits(x[lo : lo + EVAL_BATCH]).data
+                                   for lo in range(0, len(x), EVAL_BATCH)])
+
+    def predict_probs(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode gesture softmax rows of `eval_logits`."""
+        return ad.softmax_rows(self.eval_logits(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_probs(x), axis=1)

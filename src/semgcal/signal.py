@@ -147,55 +147,22 @@ def segment_stream(
     ]
 
 
-def _conjugate_pairs(p: np.ndarray) -> np.ndarray:
-    """The values of `p`, all complex, once per conjugate pair (positive
-    imaginary part, the pair averaged), sorted by real part."""
-    p = p[np.lexsort((np.abs(p.imag), p.real))]
-    return (p[p.imag > 0] + p[p.imag < 0].conj()) / 2
-
-
-@cache
-def _bandpass_sos() -> np.ndarray:
-    """The band-pass's Butterworth sections, with the arithmetic of
-    `scipy.signal.butter(BANDPASS_ORDER // 2, [BANDPASS_LOW_HZ,
-    BANDPASS_HIGH_HZ], btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos")`.
-
-    The analog prototype's poles are moved to the band edges pre-warped at
-    fs = 2, mapped to z by the bilinear transform, and paired into sections
-    with their nearest zeros, the pole nearest the unit circle last; the gain
-    goes into section 0. All four z-plane poles of this design are complex
-    (0.911 +- 0.082j and -0.978 +- 0.022j), so each section is one conjugate
-    pair.
-    """
-    n = BANDPASS_ORDER // 2  # the band-pass transform doubles the prototype's order
-    edges = np.array([BANDPASS_LOW_HZ, BANDPASS_HIGH_HZ]) / (SAMPLE_RATE_HZ / 2)
-    warped = 4.0 * np.tan(np.pi * edges / 2.0)
-    bw = float(warped[1] - warped[0])
-    wo = float(np.sqrt(warped[0] * warped[1]))
-    prototype = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
-    lowpass = prototype * bw / 2
-    shift = np.sqrt(lowpass**2 - wo**2)
-    analog = np.concatenate((lowpass + shift, lowpass - shift))
-    gain = bw**n * np.real(4.0**n / np.prod(4.0 - analog))
-    poles = _conjugate_pairs((4.0 + analog) / (4.0 - analog))
-    zeros = np.repeat([-1.0, 1.0], n)  # the analog zeros at 0 and at infinity
-    sos = np.zeros((n, 6))
-    for i in range(n - 1, -1, -1):
-        j = np.argmin(np.abs(1 - np.abs(poles)))
-        p = poles[j]
-        poles = np.delete(poles, j)
-        nearest = np.argsort(np.abs(zeros - p), kind="stable")[:2]
-        sos[i, :3] = np.poly(zeros[nearest])
-        sos[i, 3:] = np.poly([p, np.conj(p)]).real
-        zeros = np.delete(zeros, nearest)
-    sos[0, :3] *= gain
-    sos.flags.writeable = False
-    return sos
+# The band-pass's Butterworth sections: `scipy.signal.butter(BANDPASS_ORDER
+# // 2, [BANDPASS_LOW_HZ, BANDPASS_HIGH_HZ], btype="bandpass",
+# fs=SAMPLE_RATE_HZ, output="sos")`, written out with `repr` so that every
+# float round-trips (tests/test_signal.py checks them against scipy). Each
+# section is one conjugate pole pair (0.911 +- 0.082j, then -0.978 +- 0.022j),
+# and the gain is in section 0.
+_BANDPASS_SOS = np.array([
+    [0.894858606122569, -1.789717212245138, 0.894858606122569, 1.0, -1.822668140394411, 0.8371834026695899],
+    [1.0, 2.0, 1.0, 1.0, 1.9555765195931698, 0.9565438637604617],
+])
+_BANDPASS_SOS.flags.writeable = False
 
 
 def design_bandpass() -> np.ndarray:
     """Second-order sections of the band-pass filter (bilinear-transform design)."""
-    return _bandpass_sos().copy()
+    return _BANDPASS_SOS.copy()
 
 
 def _sections_filter(sos: np.ndarray, x: np.ndarray, state: np.ndarray):
@@ -225,7 +192,7 @@ def _block_matrices():
     response. All four come from one run of the recursion over unit inputs
     and unit states.
     """
-    sos = _bandpass_sos()
+    sos = _BANDPASS_SOS
     b, s = _FILTER_BLOCK, 2 * len(sos)
     units = np.eye(b + s)
     y, final = _sections_filter(sos, units[:, :b], units[:, b:])

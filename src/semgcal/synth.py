@@ -19,6 +19,8 @@ from .errors import ParameterError, check_int, check_real
 from .signal import NUM_CHANNELS, SAMPLE_RATE_HZ, RawRecording
 
 INT_SCALE = 1200.0  # float signal units -> integer counts
+# A block's sample count is an array length, so a block is at most this long.
+_MAX_BLOCK_SECONDS = np.iinfo(np.intp).max / SAMPLE_RATE_HZ
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,15 @@ class SynthConfig:
     gain_drift: float = 0.5  # log-gain spread per unit shift_scale
 
     def __post_init__(self):
-        for name in ("subjects", "sessions", "gestures", "cycles", "eval_recordings", "eval_blocks"):
+        for name in ("subjects", "sessions", "cycles", "eval_recordings", "eval_blocks"):
             check_int(name, getattr(self, name), 1)
+        check_int("gestures", self.gestures, 2)  # an evaluation stream changes gesture every block
         check_int("seed", self.seed, 0)  # numpy's SeedSequence takes no negative seed
         check_int("transition_ms", self.transition_ms, 0)
         for name in ("shift_scale", "noise_scale", "gain_drift"):
             check_real(name, getattr(self, name), 0.0)
         for name in ("cycle_block_seconds", "eval_block_seconds"):
-            check_real(name, getattr(self, name))
+            check_real(name, getattr(self, name), high=_MAX_BLOCK_SECONDS)
         if self.gestures > 11:
             raise ParameterError(f"at most 11 gestures supported, got {self.gestures}")
         if _samples(self.cycle_block_seconds) < 1:

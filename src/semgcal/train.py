@@ -84,18 +84,13 @@ def stratified_split(y: np.ndarray, fraction: float, rng: np.random.Generator):
 
 
 def _eval_loss(model: Network, x: np.ndarray, y: np.ndarray) -> float:
-    was_training = model.training
-    model.eval()
-    try:
-        with ad.no_grad():
-            total = 0.0
-            for lo in range(0, len(x), EVAL_BATCH):
-                xb, yb = x[lo : lo + EVAL_BATCH], y[lo : lo + EVAL_BATCH]
-                loss = ad.cross_entropy(model.logits(xb), yb)
-                total += float(loss.data) * len(xb)
-            return total / len(x)
-    finally:
-        model.train(was_training)
+    """Mean eval-mode cross-entropy, summed over `EVAL_BATCH`-row slices."""
+    logits = model.eval_logits(x)
+    total = 0.0
+    for lo in range(0, len(x), EVAL_BATCH):
+        yb = y[lo : lo + EVAL_BATCH]
+        total += float(ad.cross_entropy(ad.Tensor(logits[lo : lo + EVAL_BATCH]), yb).data) * len(yb)
+    return total / len(x)
 
 
 def _snapshot(model: Network) -> dict[str, np.ndarray]:

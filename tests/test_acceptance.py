@@ -20,12 +20,11 @@ from semgcal import build_tsd_dnn
 from semgcal.adapt import (
     AdaptConfig,
     _domain_loss,
-    _np_log_softmax,
     adabn_adapt,
     dirt_t_refine,
     vat_loss,
 )
-from semgcal.autodiff import Tensor
+from semgcal.autodiff import Tensor, log_softmax_rows as _np_log_softmax
 from semgcal.experiment import BenchmarkConfig, benchmark_report
 from semgcal.nn import TSD_HIDDEN, Linear, Network, build_spectrogram_convnet
 from semgcal.relabel import (

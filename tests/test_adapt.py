@@ -9,7 +9,6 @@ from semgcal import DataError, UsageError, scadann_calibrate
 from semgcal.adapt import (
     AdaptConfig,
     _domain_loss,
-    _np_log_softmax,
     adabn_adapt,
     dann_train,
     dirt_t_refine,
@@ -18,7 +17,7 @@ from semgcal.adapt import (
     vada_train,
     vat_loss,
 )
-from semgcal.autodiff import Node, Tensor, entropy_of_softmax
+from semgcal.autodiff import Node, Tensor, entropy_of_softmax, log_softmax_rows as _np_log_softmax
 from semgcal.nn import BatchNorm, Linear, Network, build_spectrogram_convnet, build_tsd_dnn
 from semgcal.relabel import entropy_rows
 from semgcal.train import TrainConfig, fit
@@ -135,6 +134,13 @@ class TestVatLoss:
         model.zero_grad()
         vat_loss(model, x, epsilon=1.0, rng=np.random.default_rng(13))
         assert all(p.grad is None for p in model.named_parameters().values())
+
+    def test_generator_is_required(self):
+        # no silent default stream: the caller's generator draws the probe
+        model = mini_net(seed=14)
+        x = np.random.default_rng(15).standard_normal((4, 16)).astype(np.float32)
+        with pytest.raises(TypeError, match="rng"):
+            vat_loss(model, x, epsilon=1.0)
 
 
 class TestDann:

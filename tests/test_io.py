@@ -132,6 +132,13 @@ class TestSynthGenerate:
         with pytest.raises(ParameterError):
             small_cfg(**kw)
 
+    def test_one_gesture_rejected(self):
+        # an evaluation stream draws a different gesture for every next block
+        with pytest.raises(ParameterError, match="gestures"):
+            small_cfg(gestures=1)
+        rec = synth_generate(small_cfg(gestures=2, eval_blocks=3))[0].sessions[0].evals[0]
+        assert set(np.unique(rec.labels)) == {0, 1}
+
     def test_eval_block_as_long_as_its_transition_generates(self):
         rec = synth_generate(small_cfg(eval_block_seconds=0.15, eval_blocks=3))[0].sessions[0].evals[0]
         assert rec.samples.shape == (10, 450)
@@ -482,6 +489,8 @@ class TestCli:
         {"synth": {"shift_scale": None}},
         {"synth": {"gain_drift": float("nan")}},
         {"synth": {"cycle_block_seconds": False}},
+        {"synth": {"cycle_block_seconds": 1e306}},  # its sample count would overflow
+        {"synth": {"eval_block_seconds": 1e306}},
     ], ids=json.dumps)
     def test_evaluate_bad_real_exits_1_before_anything_runs(self, tmp_path, capsys,
                                                             monkeypatch, overrides):

@@ -6,12 +6,16 @@ import zlib
 
 import numpy as np
 import pytest
+from _helpers import mini_net
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semgcal.autodiff as ad
 from semgcal import DataError, ParameterError, SemgCalError, ShapeError, UsageError, build_tsd_dnn
+from semgcal.adapt import vat_loss_at, vat_perturbation, vat_reference
 from semgcal.autodiff import Tensor
 from semgcal.nn import (
+    EVAL_BATCH,
     TSD_HIDDEN,
     Dropout,
     Network,
@@ -20,6 +24,7 @@ from semgcal.nn import (
     load_network,
     save_network,
 )
+from semgcal.train import _eval_loss
 
 
 class TestSpectrogramConvnet:
@@ -129,6 +134,65 @@ class TestForwardContracts:
         model.domain_head = None
         with pytest.raises(UsageError):
             model.head_logits(model.features(np.zeros((1, 385), dtype=np.float32)), "domain")
+
+
+def _uniform_reference(n):
+    p0 = np.full((n, 4), 0.25)  # mini_net's 4 gestures
+    return p0, np.log(p0)
+
+
+# Every forward that runs the network in eval mode outside a training step,
+# as a call on (model, x).
+_EVAL_MODE_CALLS = {
+    "eval_logits": lambda m, x: m.eval_logits(x),
+    "predict_probs": lambda m, x: m.predict_probs(x),
+    "vat_reference": vat_reference,
+    "vat_perturbation": lambda m, x: vat_perturbation(m, x, *_uniform_reference(len(x)), 1.0, 1e-6,
+                                                      np.random.default_rng(0)),
+    "vat_loss_at": lambda m, x: vat_loss_at(m, x, np.zeros_like(x), *_uniform_reference(len(x))),
+    "_eval_loss": lambda m, x: _eval_loss(m, x, np.zeros(len(x), dtype=np.int64)),
+}
+
+
+class TestEvalModeForward:
+    @pytest.mark.parametrize("call", _EVAL_MODE_CALLS.values(), ids=_EVAL_MODE_CALLS.keys())
+    @pytest.mark.parametrize("training", [True, False], ids=["from_train", "from_eval"])
+    @pytest.mark.parametrize("width", [16, 15], ids=["ok", "shape_error"])
+    def test_training_flag_restored(self, call, training, width):
+        model = mini_net(dropout=True).train(training)
+        x = np.random.default_rng(1).standard_normal((6, width)).astype(np.float32)
+        if width == 16:
+            call(model, x)
+        else:
+            with pytest.raises(ShapeError):
+                call(model, x)
+        assert model.training is training
+
+    def test_eval_logits_off_the_tape_in_eval_mode(self):
+        model = mini_net(dropout=True).train()
+        stats = {k: v.copy() for k, v in model.named_stats().items()}
+        x = np.random.default_rng(2).standard_normal((9, 16)).astype(np.float32)
+        out = model.eval_logits(x)
+        assert type(out) is np.ndarray and out.shape == (9, 4)
+        np.testing.assert_array_equal(out, model.eval_logits(x))  # no dropout draw
+        for k, v in model.named_stats().items():
+            np.testing.assert_array_equal(v, stats[k])  # no running-statistics update
+
+    def test_eval_logits_chunks_of_eval_batch_rows(self):
+        model = mini_net()
+        x = np.random.default_rng(3).standard_normal((2 * EVAL_BATCH + 5, 16)).astype(np.float32)
+        out = model.eval_logits(x)
+        with ad.no_grad():
+            want = [model.logits(x[lo : lo + EVAL_BATCH]).data for lo in range(0, len(x), EVAL_BATCH)]
+        np.testing.assert_array_equal(out, np.concatenate(want))
+        np.testing.assert_array_equal(model.predict_probs(x), ad.softmax_rows(out))
+
+    def test_eval_logits_zero_rows(self):
+        model = mini_net()
+        out = model.eval_logits(np.zeros((0, 16), dtype=np.float32))
+        assert out.shape == (0, 4) and out.dtype == np.float32
+        with pytest.raises(ShapeError):
+            model.eval_logits(np.zeros((0, 15), dtype=np.float32))
 
 
 class TestBatchNormBehavior:
