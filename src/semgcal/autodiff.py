@@ -26,10 +26,11 @@ What each node keeps, besides scalars, shapes and dtypes:
 - `leaky_relu`: a one-byte `input > 0` mask, built only when the op is
   recorded;
 - `dropout`: its one-byte keep mask;
-- `global_avg_pool`, `_channel_major`, `concat`, the sums and means, `add`,
-  `sub`, `neg` and `gradient_reversal`: nothing activation-sized;
-- `mul`: both operand arrays; `exp`, `softmax`, `log_softmax` and
-  `cross_entropy`: arrays of the logits' (N, K) size.
+- `global_avg_pool`, `_channel_major`, `concat`, `sum_all`, `mean_all`,
+  `add` and `gradient_reversal`: nothing activation-sized;
+- `mul`: both operand arrays;
+- `cross_entropy`, `entropy_of_softmax` and `kl_to_fixed`: the logits' log
+  softmax, and the probabilities or the fixed distribution, all (N, K).
 
 An interior activation is therefore freed as soon as the caller drops its
 `Tensor`, unless the next op's closure reads it: a ConvNet block keeps its
@@ -58,8 +59,9 @@ _state = threading.local()
 def no_grad():
     """Disable tape recording, e.g. for inference or statistics collection.
 
-    The flag is thread-local so concurrent experiment cells cannot switch
-    each other's recording off.
+    The flag is thread-local, as PyTorch's grad mode is: a block switches
+    recording off only in the thread that entered it, so a caller's other
+    threads keep recording.
     """
     prev = getattr(_state, "grad_enabled", True)
     _state.grad_enabled = False
@@ -67,10 +69,6 @@ def no_grad():
         yield
     finally:
         _state.grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
 
 
 class _Sink:
@@ -233,20 +231,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def backward(g, sa, sb):
-        if sa is not None:
-            ga = _unbroadcast(g, a_shape)
-            sa._accumulate(ga, owned=ga is not g)
-        if sb is not None:
-            sb._accumulate(-_unbroadcast(g, b_shape), owned=True)
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     a_data, b_data = a.data, b.data
@@ -258,25 +242,6 @@ def mul(a, b) -> Tensor:
             sb._accumulate(_unbroadcast(g * a_data, b_data.shape), owned=True)
 
     return _make(a_data * b_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g, sa):
-        sa._accumulate(-g, owned=True)
-
-    return _make(-a.data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g, sa):
-        sa._accumulate(g * out_data, owned=True)
-
-    return _make(out_data, (a,), backward)
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -307,16 +272,6 @@ def mean_all(a: Tensor) -> Tensor:
         sa._accumulate(np.broadcast_to(g / n, shape).astype(dtype), owned=True)
 
     return _make(np.asarray(a.data.mean()), (a,), backward)
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def backward(g, sa):
-        g = np.expand_dims(g, axis)
-        sa._accumulate(np.broadcast_to(g, shape).astype(dtype), owned=True)
-
-    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
 def leaky_relu(a: Tensor) -> Tensor:
@@ -594,26 +549,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log softmax of a (N, K) tensor."""
-    ls = log_softmax_rows(x.data)
-    probs = np.exp(ls)
-
-    def backward(g, sx):
-        sx._accumulate(g - probs * g.sum(axis=1, keepdims=True), owned=True)
-
-    return _make(ls, (x,), backward)
-
-
-def softmax(x: Tensor) -> Tensor:
-    p = softmax_rows(x.data)
-
-    def backward(g, sx):
-        sx._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)), owned=True)
-
-    return _make(p, (x,), backward)
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer labels under row-wise softmax."""
     n = logits.data.shape[0]
@@ -631,13 +566,20 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def entropy_of_softmax(logits: Tensor) -> Tensor:
     """Mean Shannon entropy (nats) of the row-wise softmax of `logits`.
 
-    Built from log_softmax so the gradient flows through both the
-    probabilities and their logs.
+    The gradient flows through both the probabilities and their logs: with
+    c = -g / N per element, c * p + (c * ls) * p is the gradient at the log
+    softmax `ls`, which its Jacobian takes back to the logits.
     """
-    ls = log_softmax(logits)
-    p = exp(ls)
-    per_row = sum_axis(mul(p, ls), axis=1)
-    return neg(mean_all(per_row))
+    ls = log_softmax_rows(logits.data)
+    p = np.exp(ls)
+    n = ls.shape[0]
+
+    def backward(g, s):
+        c = -g / n
+        gl = c * p + (c * ls) * p
+        s._accumulate(gl - p * gl.sum(axis=1, keepdims=True), owned=True)
+
+    return _make(-np.asarray((p * ls).sum(axis=1).mean()), (logits,), backward)
 
 
 def kl_to_fixed(p_fixed: np.ndarray, logp_fixed: np.ndarray, logits: Tensor) -> Tensor:
@@ -645,8 +587,15 @@ def kl_to_fixed(p_fixed: np.ndarray, logp_fixed: np.ndarray, logits: Tensor) -> 
 
     `logp_fixed` must be the log of `p_fixed` as computed alongside it, so
     that the divergence is exactly zero when `logits` reproduce the same
-    distribution bit for bit.
+    distribution bit for bit. The loss has the dtype `p_fixed` and the
+    logits promote to; the gradient at the log softmax, -g / N * p_fixed, is
+    cast to the logits' dtype before the Jacobian takes it back to them.
     """
-    ls = log_softmax(logits)
-    diff = sub(Tensor(p_fixed * logp_fixed), mul(Tensor(p_fixed), ls))
-    return mean_all(sum_axis(diff, axis=1))
+    ls = log_softmax_rows(logits.data)
+    n, dtype = ls.shape[0], ls.dtype
+
+    def backward(g, s):
+        gl = (-(g / n) * p_fixed).astype(dtype, copy=False)
+        s._accumulate(gl - np.exp(ls) * gl.sum(axis=1, keepdims=True), owned=True)
+
+    return _make(np.asarray((p_fixed * logp_fixed - p_fixed * ls).sum(axis=1).mean()), (logits,), backward)

@@ -62,7 +62,7 @@ class HarnessConfig:
     input_kind: str = "tsd"  # "tsd" or "spectrogram"
     gestures: int = 11
     algorithms: tuple[str, ...] = ("nocal", "dann", "vada", "adabn", "scadann")
-    train: TrainConfig = field(default_factory=lambda: default_train_config("tsd_dnn"))
+    train: TrainConfig | None = None  # defaults to the input kind's network schedule
     adapt_train: TrainConfig | None = None  # defaults to `train`
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
     heuristic: HeuristicConfig | None = None  # default depends on gesture count
@@ -86,7 +86,9 @@ class HarnessConfig:
             raise ParameterError(f"algorithms must be distinct, got {list(self.algorithms)}")
         check_int("workers", self.workers, 1)
         # Fields left None are derived; `from_overrides` derives them again.
-        self._derived = tuple(name for name in ("heuristic", "adapt_train") if getattr(self, name) is None)
+        self._derived = tuple(name for name in ("train", "heuristic", "adapt_train") if getattr(self, name) is None)
+        if self.train is None:
+            self.train = default_train_config(INPUT_KINDS[self.input_kind])
         if self.heuristic is None:
             threshold = 0.85 if self.gestures == 7 else 0.65
             self.heuristic = HeuristicConfig(threshold_stable=threshold)
@@ -99,14 +101,14 @@ def from_overrides(obj, overrides: dict):
 
     Every level goes through `dataclasses.replace`, so each `__post_init__`
     validates its values again. A field that `__post_init__` derived (listed
-    in the object's `_derived`, such as the gesture-dependent `heuristic` or
-    an `adapt_train` copied from `train`) is derived again from the new
-    values unless the overrides set it. A dict value updates a nested config
-    field by field; None resets a field whose default is None so it is
-    derived; a JSON list becomes a tuple where the field holds one. A
-    `HarnessConfig` override that sets `input_kind` also sets that kind's
-    network learning rate, unless it sets `train.learning_rate` itself.
-    Unknown keys raise ParameterError.
+    in the object's `_derived`, such as the input kind's `train`, the
+    gesture-dependent `heuristic` or an `adapt_train` copied from `train`)
+    is derived again from the new values unless the overrides set it. A
+    dict value updates a nested config field by field; None resets a field
+    whose default is None so it is derived; a JSON list becomes a tuple
+    where the field holds one. A `HarnessConfig` override that sets
+    `input_kind` also sets that kind's network learning rate, unless it sets
+    `train.learning_rate` itself. Unknown keys raise ParameterError.
     """
     if not isinstance(overrides, dict):
         raise ParameterError(f"{type(obj).__name__} overrides must be an object, got {overrides!r}")
@@ -457,11 +459,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> dict:
     if cfg.synth.gestures != cfg.harness.gestures:
         raise ParameterError(f"synth.gestures {cfg.synth.gestures} != harness.gestures "
                              f"{cfg.harness.gestures}: the classifier would not match the data")
+    algorithms = list(cfg.harness.algorithms)
+    n_sessions = cfg.synth.sessions
+    # Each session after the first gets the statistics battery when NoCal has
+    # a rival, and Friedman's test ranks the algorithms over >= 2 subjects.
+    battery = "nocal" in algorithms and len(algorithms) >= 2
+    if battery and n_sessions >= 2 and cfg.synth.subjects < 2:
+        raise ParameterError(f"the statistics battery (nocal among {len(algorithms)} algorithms) "
+                             f"needs >= 2 subjects, got {cfg.synth.subjects}")
     synth_cfg = dataclasses.replace(cfg.synth, seed=cell_seed(cfg.seed, "synth"))
     dataset = synth_generate(synth_cfg)
     results = run_experiment(dataset, cfg.harness, cfg.seed)
-    algorithms = list(cfg.harness.algorithms)
-    n_sessions = cfg.synth.sessions
 
     accuracy_tables = {}
     stats = {}
@@ -470,7 +478,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> dict:
             [[r.accuracies[a][s] for a in algorithms] for r in results], dtype=np.float64
         )
         accuracy_tables[str(s)] = {"algorithms": algorithms, "matrix": matrix.tolist()}
-        if s >= 1 and "nocal" in algorithms and len(algorithms) >= 2:
+        if s >= 1 and battery:
             stats[str(s)] = _session_stats(matrix, algorithms)
 
     audit = {}

@@ -195,7 +195,7 @@ class TestDann:
 
         def domain_votes(x):
             with ad.no_grad():
-                return ad.softmax(adapted.head_logits(adapted.features(x), "domain")).data.argmax(1)
+                return ad.softmax_rows(adapted.head_logits(adapted.features(x), "domain").data).argmax(1)
 
         own_head = np.mean(np.concatenate([
             domain_votes(x_src[half_s:]) == 0,

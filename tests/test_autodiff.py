@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from _helpers import graph_sinks
+from _helpers import graph_sinks, saved_arrays
 
 from semgcal import UsageError
 from semgcal.adapt import _domain_loss
@@ -26,19 +26,15 @@ from semgcal.autodiff import (
     cross_entropy,
     dropout,
     entropy_of_softmax,
-    exp,
     global_avg_pool,
     gradient_reversal,
     kl_to_fixed,
     leaky_relu,
     linear,
-    log_softmax,
+    log_softmax_rows,
     mean_all,
     mul,
-    softmax,
-    sub,
     sum_all,
-    sum_axis,
 )
 from semgcal.nn import BatchNorm, LeakyReLU, build_spectrogram_convnet, build_tsd_dnn
 
@@ -107,7 +103,7 @@ class TestOpGradients:
         def loss_fn(arrays, tensors):
             ta, tb = _wrap(arrays, tensors)
             prod = mul(ta, tb)
-            return sub(mean_all(mul(prod, prod)), sum_all(sum_axis(prod, axis=1)))
+            return add(mean_all(mul(prod, prod)), mul(sum_all(prod), -0.5))
 
         assert check_gradients(loss_fn, [a, b]) > 0
 
@@ -287,14 +283,14 @@ class TestOpGradients:
         np.testing.assert_allclose(grad_with_lambda(0.1), -0.1 * plain, rtol=1e-10)
         np.testing.assert_allclose(grad_with_lambda(1.0), -plain, rtol=1e-10)
 
-    def test_concat_exp_softmax(self):
+    def test_concat_entropy(self):
         rng = np.random.default_rng(14)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
 
         def loss_fn(arrays, tensors):
             ta, tb = _wrap(arrays, tensors)
             joined = concat([ta, tb])
-            return mean_all(mul(softmax(joined), exp(log_softmax(joined))))
+            return add(entropy_of_softmax(joined), mean_all(mul(joined, joined)))
 
         assert check_gradients(loss_fn, [a, b]) > 0
 
@@ -561,3 +557,108 @@ class TestDropoutMask:
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(grads[0], grads[1])
         assert outs[0].dtype == outs[1].dtype and grads[0].dtype == grads[1].dtype
+
+
+# The adaptation losses as they were when the tape composed them from
+# log_softmax, exp, mul, sum_axis, mean_all, neg and sub, replayed in numpy
+# with every cast `_accumulate` made, as an oracle for the single-node ops.
+# `weight` is the constant the loss is multiplied by, so the loss node's
+# gradient is `weight` cast to the loss's dtype.
+def _composite_entropy(logits: np.ndarray, weight: float):
+    n, k = logits.shape
+    dtype = logits.dtype
+    ls = log_softmax_rows(logits)
+    p = np.exp(ls)
+    loss = -np.asarray((p * ls).sum(axis=1).mean())
+    g_neg = np.array(weight, dtype=dtype)
+    g_mean = np.array(-g_neg, dtype=dtype)
+    g_rows = np.broadcast_to(g_mean / n, (n,)).astype(dtype)
+    g_mul = np.broadcast_to(np.expand_dims(g_rows, 1), (n, k)).astype(dtype)
+    g_exp = g_mul * ls  # mul's backward feeds exp's node first,
+    g_ls = g_mul * p  # then the log-softmax node,
+    g_ls += g_exp * p  # to which exp's backward adds
+    return loss, g_ls - p * g_ls.sum(axis=1, keepdims=True)
+
+
+def _composite_kl(p_fixed: np.ndarray, logp_fixed: np.ndarray, logits: np.ndarray, weight: float):
+    n, k = logits.shape
+    ls = log_softmax_rows(logits)
+    loss = np.asarray((p_fixed * logp_fixed - p_fixed * ls).sum(axis=1).mean())
+    g_mean = np.array(weight, dtype=loss.dtype)
+    g_rows = np.broadcast_to(g_mean / n, (n,)).astype(loss.dtype)
+    g_sub = np.broadcast_to(np.expand_dims(g_rows, 1), (n, k)).astype(loss.dtype)
+    g_mul = -g_sub
+    g_ls = np.array(g_mul * p_fixed, dtype=logits.dtype)
+    return loss, g_ls - np.exp(ls) * g_ls.sum(axis=1, keepdims=True)
+
+
+def _fixed_distribution(rng, shape, dtype):
+    lp = log_softmax_rows(rng.standard_normal(shape).astype(dtype))
+    return np.exp(lp), lp
+
+
+_DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)]
+_DTYPE_IDS = ["float32", "float64", "float64-teacher-float32-logits"]
+
+
+class TestAdaptationLossOps:
+    """entropy_of_softmax and kl_to_fixed are one node each, with the bits of
+    the composites they replaced."""
+
+    WEIGHT = 0.01
+
+    def _weighted_grad(self, loss_of, logits):
+        t = Tensor(logits.copy(), requires_grad=True)
+        loss = loss_of(t)
+        mul(loss, self.WEIGHT).backward()
+        return loss.data, t.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_entropy_bits_equal_the_composite(self, dtype):
+        logits = (3.0 * np.random.default_rng(20).standard_normal((37, 11))).astype(dtype)
+        loss, grad = self._weighted_grad(entropy_of_softmax, logits)
+        want_loss, want_grad = _composite_entropy(logits, self.WEIGHT)
+        assert loss.dtype == want_loss.dtype == grad.dtype == want_grad.dtype == dtype
+        assert np.array_equal(loss, want_loss) and np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("fixed_dtype, logits_dtype", _DTYPES, ids=_DTYPE_IDS)
+    def test_kl_bits_equal_the_composite(self, fixed_dtype, logits_dtype):
+        rng = np.random.default_rng(21)
+        p, lp = _fixed_distribution(rng, (37, 11), fixed_dtype)
+        logits = (3.0 * rng.standard_normal((37, 11))).astype(logits_dtype)
+        loss, grad = self._weighted_grad(lambda t: kl_to_fixed(p, lp, t), logits)
+        want_loss, want_grad = _composite_kl(p, lp, logits, self.WEIGHT)
+        assert loss.dtype == want_loss.dtype == np.result_type(fixed_dtype, logits_dtype)
+        assert grad.dtype == want_grad.dtype == logits_dtype
+        assert np.array_equal(loss, want_loss) and np.array_equal(grad, want_grad)
+
+    def test_mixed_dtype_kl_matches_finite_differences(self):
+        # A float64 teacher against float32 logits, as DIRT-T runs it: the
+        # float32 gradient against central differences of the float64 loss.
+        rng = np.random.default_rng(22)
+        p, lp = _fixed_distribution(rng, (5, 6), np.float64)
+        logits = rng.standard_normal((5, 6)).astype(np.float32)
+        t = Tensor(logits.copy(), requires_grad=True)
+        kl_to_fixed(p, lp, t).backward()
+        assert t.grad.dtype == np.float32
+        fd = np.empty(logits.shape)
+        for idx in np.ndindex(logits.shape):
+            fd[idx] = numeric_grad(lambda arrs: float(kl_to_fixed(p, lp, Tensor(arrs[0])).data),
+                                   [logits.astype(np.float64)], 0, np.ravel_multi_index(idx, logits.shape))
+        np.testing.assert_allclose(t.grad, fd, rtol=REL_TOL, atol=1e-6)
+
+    @pytest.mark.parametrize("loss_name", ["entropy", "kl"])
+    def test_one_node_holding_only_logits_sized_arrays(self, loss_name):
+        rng = np.random.default_rng(23)
+        x, w, b = (Tensor(a, requires_grad=True) for a in
+                   (rng.standard_normal((9, 4)), rng.standard_normal((5, 4)), rng.standard_normal(5)))
+        logits = linear(x, w, b)
+        p, lp = _fixed_distribution(rng, (9, 5), np.float64)
+        loss = entropy_of_softmax(logits) if loss_name == "entropy" else kl_to_fixed(p, lp, logits)
+        nodes = [s for s in graph_sinks(loss) if isinstance(s, Node)]
+        assert len(nodes) == len([s for s in graph_sinks(logits) if isinstance(s, Node)]) + 1
+        assert loss.node.parents == (logits.node,)
+        cells = [c.cell_contents for c in loss.node.backward.__closure__]
+        assert not any(isinstance(v, (Tensor, Node)) for v in cells)
+        saved = saved_arrays(loss.node)
+        assert saved and all(a.shape == (9, 5) for a in saved)

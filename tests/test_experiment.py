@@ -534,6 +534,15 @@ class TestFromOverrides:
         back = from_overrides(cfg, {"harness": {"input_kind": "tsd"}})
         assert back == base
 
+    @pytest.mark.parametrize("kind", ["tsd", "spectrogram"])
+    def test_constructor_and_override_give_one_schedule(self, kind):
+        direct = HarnessConfig(input_kind=kind)
+        assert direct.train == default_train_config(experiment.INPUT_KINDS[kind])
+        assert direct.adapt_train == direct.train
+        assert from_overrides(HarnessConfig(), {"input_kind": kind}) == direct
+        other = "tsd" if kind == "spectrogram" else "spectrogram"
+        assert from_overrides(HarnessConfig(input_kind=other), {"input_kind": kind}) == direct
+
     def test_explicit_rate_survives_input_kind_override(self):
         cfg = from_overrides(BenchmarkConfig(), {
             "harness": {"input_kind": "spectrogram", "train": {"learning_rate": 0.01}}})

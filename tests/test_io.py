@@ -525,6 +525,33 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report").exists()
 
+    def test_evaluate_one_subject_battery_exits_1_before_anything_runs(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(experiment, "synth_generate", no_run)
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({"synth": {"subjects": 1}}))
+        rc = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the statistics battery (nocal among 5 algorithms) needs >= 2 subjects, got 1\n")
+        assert not (tmp_path / "report").exists()
+
+    def test_evaluate_one_subject_nocal_alone_writes_report(self, tmp_path):
+        cfg_path = tmp_path / "overrides.json"
+        cfg_path.write_text(json.dumps({
+            "synth": {"subjects": 1, "sessions": 2, "cycles": 2, "cycle_block_seconds": 0.6,
+                      "eval_blocks": 4, "eval_block_seconds": 0.6},
+            "harness": {"algorithms": ["nocal"], "train": {"max_epochs": 1}}}))
+        out = tmp_path / "report"
+        rc = main(["evaluate", "--seed", "1", "--gestures", "7", "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["subjects"] == 1 and report["algorithms"] == ["nocal"] and report["stats"] == {}
+
     def test_evaluate_float_count_of_a_two_subject_study_prints_no_traceback(self, tmp_path):
         # A 2-subject study runs its subjects in worker processes; the value
         # is refused before any starts.
