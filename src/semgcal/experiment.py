@@ -138,23 +138,39 @@ def cell_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2s(key.encode(), digest_size=4).digest(), "little") & 0x7FFFFFFF
 
 
+# Windows per featurize pass: about 3 MB of float64 windows and as much again
+# band-passed, however many windows a recording has.
+_FEATURIZE_BLOCK = 256
+
+
 def _filter_stack(segments) -> np.ndarray:
     """Band-pass a stack of segments in one vectorized call."""
     return bandpass(np.stack([s.data for s in segments]))
 
 
 def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Segments -> (X, y) under the input kind "tsd" or "spectrogram"; unlabeled y = -1."""
+    """Segments -> (X, y) under the input kind "tsd" or "spectrogram"; unlabeled y = -1.
+
+    The windows are stacked, band-passed and featurized `_FEATURIZE_BLOCK`
+    at a time, each block written into one float32 X. So besides X and y,
+    memory holds one block's float64 windows, their band-passed copy and
+    their features, however many segments there are. A band-passed window
+    and its features do not depend on the windows around it, so X has the
+    same bits for any block size.
+    """
     if input_kind not in INPUT_KINDS:
         raise ParameterError(f"unknown input kind {input_kind!r}")
-    if len(segments) == 0:
+    n = len(segments)
+    if n == 0:
         raise EmptyInputError("no segments to featurize")
-    filtered = _filter_stack(segments)
-    if input_kind == "tsd":
-        x = tsd_matrix(filtered).astype(np.float32)
-    else:
-        x = spectrograms(filtered)
-    y = np.array([-1 if s.label is None else s.label for s in segments], dtype=np.int64)
+    features_of = tsd_matrix if input_kind == "tsd" else spectrograms
+    x = None
+    for lo in range(0, n, _FEATURIZE_BLOCK):
+        rows = features_of(_filter_stack(segments[lo : lo + _FEATURIZE_BLOCK]))
+        if x is None:
+            x = np.empty((n, *rows.shape[1:]), dtype=np.float32)
+        x[lo : lo + len(rows)] = rows  # TSD's float64 rounds as astype(np.float32) would
+    y = np.fromiter((-1 if s.label is None else s.label for s in segments), dtype=np.int64, count=n)
     return x, y
 
 
@@ -171,6 +187,10 @@ class PreparedSession:
     once, so a caller pays only for the parts it reads. `prepare_session`
     has checked every part before this object exists. The session's
     recordings must stay unchanged while a part is unread.
+
+    Memory: a part kept is its float32 X and int64 y. While a part is
+    featurized, its segments hold one float64 copy of each of its recordings
+    (`segment_stream`), and `featurize` one block of windows on top.
     """
 
     def __init__(self, session, input_kind: str):

@@ -45,4 +45,7 @@ class Adam:
             v += sq
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            # The parameter array is updated in place, as p - lr * m_hat /
+            # (sqrt(v_hat) + eps) would round: nothing holds it across a step
+            # (snapshots, clones and loaded states are copies).
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

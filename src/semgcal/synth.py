@@ -147,7 +147,7 @@ def _eval_stream(rng: np.random.Generator, profiles, cfg: SynthConfig, shift, ga
             nxt += 1  # avoid trivially repeated blocks
         order.append(nxt)
     total = block_n * len(order)
-    signal = np.zeros((NUM_CHANNELS, total))
+    samples = np.empty((NUM_CHANNELS, total), dtype=np.int16)
     labels = np.zeros(total, dtype=np.int64)
     ramp_w = np.linspace(0.0, 1.0, ramp, endpoint=False) if ramp else None
     prev_tail = None
@@ -155,20 +155,25 @@ def _eval_stream(rng: np.random.Generator, profiles, cfg: SynthConfig, shift, ga
         lo = b * block_n
         block = _gesture_block(rng, profiles[g], block_n + ramp, cfg.noise_scale)
         if prev_tail is not None and ramp:
-            head = block[:, :ramp]
-            signal[:, lo : lo + ramp] = (1.0 - ramp_w) * prev_tail + ramp_w * head
-            signal[:, lo + ramp : lo + block_n] = block[:, ramp:block_n]
-        else:
-            signal[:, lo : lo + block_n] = block[:, :block_n]
+            block[:, :ramp] = (1.0 - ramp_w) * prev_tail + ramp_w * block[:, :ramp]
+        # Each sample's counts depend on its own time step alone, so the
+        # stream is transformed and rounded one block at a time.
+        samples[:, lo : lo + block_n] = _to_int16(_apply_transform(block[:, :block_n], shift, gains))
         prev_tail = block[:, block_n : block_n + ramp]
         mid = lo - ramp // 2 if b > 0 else lo
         labels[max(0, mid) :] = g
-    samples = _to_int16(_apply_transform(signal, shift, gains))
     return RawRecording(samples=samples, labels=labels)
 
 
 def synth_generate(cfg: SynthConfig) -> list[SubjectData]:
-    """Deterministic multi-subject, multi-session dataset."""
+    """Deterministic multi-subject, multi-session dataset.
+
+    Memory: besides the dataset itself (int16 samples and int64 labels),
+    generation holds the temporaries of one gesture block, a few float64
+    copies of `eval_block_seconds` plus the transition or of one cycle
+    block. An evaluation stream is never whole in float64, so the peak does
+    not grow with its length.
+    """
     root_ss = np.random.SeedSequence(cfg.seed)
     subject_seeds = root_ss.spawn(cfg.subjects)
     subjects = []

@@ -1,13 +1,14 @@
 """TSD descriptors and features."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semgcal import EmptyInputError, ParameterError, ShapeError
 from semgcal import features
-from semgcal.experiment import _filter_stack, featurize
+from semgcal.experiment import _FEATURIZE_BLOCK, _filter_stack, featurize
 from semgcal.features import (
     TSD_EPS,
     _real_cepstrum,
@@ -15,7 +16,7 @@ from semgcal.features import (
     tsd_descriptor,
     tsd_matrix,
 )
-from semgcal.signal import Segment, segment_stream
+from semgcal.signal import RawRecording, Segment, segment_stream
 from semgcal.synth import SynthConfig, synth_generate
 
 
@@ -240,3 +241,50 @@ class TestTsdBoundaries:
         assert tsd_matrix(np.zeros((0, 10, 150))).shape == (0, 385)
         assert tsd_matrix(np.ones((1, 10, 150))).shape == (1, 385)
         assert tsd_matrix(np.ones((16, 10, 150))).shape == (16, 385)
+
+
+class TestFeaturizeBlocks:
+    """`featurize` runs `_FEATURIZE_BLOCK` windows at a time into one output."""
+
+    @pytest.mark.parametrize("kind", ["tsd", "spectrogram"])
+    def test_block_boundaries_change_no_bits(self, kind):
+        n = 2 * _FEATURIZE_BLOCK + 3
+        rng = np.random.default_rng(21)
+        windows = rng.standard_normal((n, 10, 150)) * rng.uniform(1.0, 3000.0, (n, 1, 1))
+        windows[_FEATURIZE_BLOCK, 4] = 0.0  # an all-zero channel, first window of the second block
+        segs = [Segment(data=w, start_index=50 * i, label=None if i % 3 else i % 11)
+                for i, w in enumerate(windows)]
+        x, y = featurize(segs, kind)
+        assert x.dtype == np.float32 and len(x) == len(y) == n
+        for i, seg in enumerate(segs):
+            alone_x, alone_y = featurize([seg], kind)
+            assert np.array_equal(x[i], alone_x[0]), i
+            assert y[i] == alone_y[0] == (-1 if seg.label is None else seg.label), i
+
+    def test_peak_grows_only_with_the_output(self, monkeypatch):
+        # Besides X and y, featurize holds one block of windows, so past one
+        # block its traced peak grows with the output alone: from N to 4N
+        # windows by exactly the output's growth, plus the interpreter's own
+        # allocations (64 KiB). The old stack-everything path grew by ~23 KB
+        # per window, 15 times the output's 1548 bytes. One TSD thread keeps
+        # the peak from depending on how two threads' scratch overlaps.
+        monkeypatch.setattr(features, "max_threads", 1)
+        rng = np.random.default_rng(8)
+
+        def traced(windows):
+            samples = rng.integers(-3000, 3000, (10, 150 + 50 * (windows - 1))).astype(np.int16)
+            segs = segment_stream(RawRecording(samples=samples))
+            assert len(segs) == windows
+            tracemalloc.start()
+            try:
+                x, y = featurize(segs, "tsd")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, x.nbytes + y.nbytes
+
+        traced(_FEATURIZE_BLOCK + 1)  # first-call allocations stay out of the measurement
+        n = 2 * _FEATURIZE_BLOCK
+        peak, out = traced(n)
+        peak4, out4 = traced(4 * n)
+        assert peak4 - peak <= out4 - out + 64 * 1024, (peak, peak4, out, out4)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from semgcal.errors import DataError, ParameterError, ParseError, SemgCalError
 from semgcal.experiment import BenchmarkConfig
 from semgcal.nn import load_network
 from semgcal.relabel import HeuristicConfig
-from semgcal.signal import segment_stream
+from semgcal.signal import NUM_CHANNELS, RawRecording, segment_stream
+from semgcal import synth
 from semgcal.train import TrainConfig, default_train_config
 
 
@@ -75,6 +77,34 @@ def small_cfg(**kw):
     return SynthConfig(**kw)
 
 
+def _frozen_eval_stream(rng, profiles, cfg, shift, gains):
+    """`synth._eval_stream` as it was when it built the whole stream in float64
+    and then transformed and rounded it in one pass, kept as an oracle."""
+    block_n = synth._samples(cfg.eval_block_seconds)
+    ramp = synth._ramp_samples(cfg.transition_ms)
+    order = [int(rng.integers(0, cfg.gestures))]
+    for _ in range(cfg.eval_blocks - 1):
+        nxt = int(rng.integers(0, cfg.gestures - 1))
+        order.append(nxt + 1 if nxt >= order[-1] else nxt)
+    total = block_n * len(order)
+    signal = np.zeros((NUM_CHANNELS, total))
+    labels = np.zeros(total, dtype=np.int64)
+    ramp_w = np.linspace(0.0, 1.0, ramp, endpoint=False) if ramp else None
+    prev_tail = None
+    for b, g in enumerate(order):
+        lo = b * block_n
+        block = synth._gesture_block(rng, profiles[g], block_n + ramp, cfg.noise_scale)
+        if prev_tail is not None and ramp:
+            signal[:, lo : lo + ramp] = (1.0 - ramp_w) * prev_tail + ramp_w * block[:, :ramp]
+            signal[:, lo + ramp : lo + block_n] = block[:, ramp:block_n]
+        else:
+            signal[:, lo : lo + block_n] = block[:, :block_n]
+        prev_tail = block[:, block_n : block_n + ramp]
+        labels[max(0, lo - ramp // 2 if b > 0 else lo) :] = g
+    return RawRecording(samples=synth._to_int16(synth._apply_transform(signal, shift, gains)),
+                        labels=labels)
+
+
 class TestSynthGenerate:
     def test_same_seed_byte_identical(self):
         a = synth_generate(small_cfg())
@@ -105,6 +135,41 @@ class TestSynthGenerate:
             x = sess.cycles[0][0].samples.astype(float)
             prof.append(x.std(axis=1))
         assert not np.allclose(prof[0], prof[2], rtol=0.05)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.35, 1.0, 2.7])
+    @pytest.mark.parametrize("transition_ms", [150, 0])
+    def test_stream_built_block_by_block_equals_the_whole_stream(self, shift, transition_ms):
+        cfg = small_cfg(gestures=4, eval_blocks=5, eval_block_seconds=0.4, transition_ms=transition_ms)
+        profiles = synth._subject_profiles(np.random.default_rng(3), cfg.gestures)
+        gains = np.random.default_rng(4).uniform(4.0, 12.0, NUM_CHANNELS)  # some samples clip
+        got = synth._eval_stream(np.random.default_rng(5), profiles, cfg, shift, gains)
+        want = _frozen_eval_stream(np.random.default_rng(5), profiles, cfg, shift, gains)
+        assert want.samples.max() == 32767 and want.samples.min() == -32768
+        assert got.samples.dtype == np.int16 and np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_peak_is_within_the_dataset_and_two_float64_copies_of_the_stream(self):
+        # Besides the finished dataset, generation holds the temporaries of
+        # one 2.65 s gesture block (a few MB), never a whole stream in
+        # float64. With a 300 s stream, one float64 copy of it is 24 MB, so
+        # the dataset plus two copies bounds the peak with room to spare.
+        # Building the whole stream in float64 and transforming it in one pass
+        # peaked at nearly four copies over the dataset. Session 1's drift
+        # (0.35 of an electrode) takes the fractional rotation's path.
+        cfg = small_cfg(subjects=1, sessions=2, gestures=2, cycles=1, cycle_block_seconds=0.2,
+                        eval_blocks=120, eval_block_seconds=2.5)
+        tracemalloc.start()
+        try:
+            data = synth_generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        recordings = [rec for sess in data[0].sessions
+                      for rec in [*sess.evals, *(c[g] for c in sess.cycles for g in c)]]
+        dataset = sum(rec.samples.nbytes + rec.labels.nbytes for rec in recordings)
+        copy = NUM_CHANNELS * data[0].sessions[1].evals[0].num_samples * 8
+        assert copy == 24_000_000
+        assert peak <= dataset + 2 * copy, (peak, dataset, copy)
 
     def test_eval_labels_cover_blocks(self):
         data = synth_generate(small_cfg())[0]

@@ -12,6 +12,7 @@ from semgcal.train import (
     TSD_DNN_LR,
     TrainConfig,
     _eval_loss,
+    _snapshot,
     default_train_config,
     stratified_split,
 )
@@ -88,12 +89,32 @@ class TestAdamInPlaceMoments:
             opts[0].step()
             _frozen_adam_step(opts[1])
             for k, p in opts[0].params.items():
-                # The parameter is rebound to a new array; the old one is untouched.
-                assert p.data is not before[k] or p.grad is None
+                # The parameter is updated in place: the same array object.
+                assert p.data is before[k]
                 np.testing.assert_array_equal(p.data, opts[1].params[k].data, err_msg=k)
                 np.testing.assert_array_equal(opts[0].m[k], opts[1].m[k], err_msg=k)
                 np.testing.assert_array_equal(opts[0].v[k], opts[1].v[k], err_msg=k)
                 assert opts[0].m[k].dtype == opts[1].m[k].dtype == p.data.dtype
+
+
+class TestAdamInPlaceParameters:
+    def test_nothing_else_holds_a_parameter_array(self):
+        # Snapshots, clones (the DIRT-T teacher is one) and loaded states
+        # copy, so an in-place step changes none of them.
+        model = build_tsd_dnn(7, seed=2).train()
+        snap, twin = _snapshot(model), model.clone()
+        loaded = build_tsd_dnn(7, seed=5)
+        loaded.load_state_arrays(snap)
+        frozen = {k: a.copy() for k, a in snap.items()}
+        opt = Adam(model.named_parameters(), lr=0.01)
+        x = np.random.default_rng(6).standard_normal((16, *model.input_shape)).astype(np.float32)
+        cross_entropy(model.logits(x, rng=np.random.default_rng(7)), np.arange(16) % 7).backward()
+        opt.step()
+        for k, p in model.named_parameters().items():
+            assert p.grad is None or not np.array_equal(p.data, frozen[k]), k
+            for other in (snap[k], twin.state_arrays()[k], loaded.state_arrays()[k]):
+                assert not np.shares_memory(other, p.data), k
+                assert np.array_equal(other, frozen[k]), k
 
 
 class TestTrainConfig:
