@@ -27,6 +27,7 @@ import sys
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .features import _usable_cpus, tsd_matrix
 from .nn import _BUILDERS, Network
 from .relabel import HeuristicConfig
 from .signal import build_spectrogram_example  # noqa: F401 -- benchmarks/tracing.py wraps it in this module
-from .signal import bandpass, segment_stream, spectrograms, window_starts
+from .signal import Windows, bandpass, segment_stream, spectrograms, window_starts
 from .stats import accuracy, cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
 from .synth import SubjectData, SynthConfig, synth_generate
 from .train import TrainConfig, default_train_config, fit
@@ -143,34 +144,38 @@ def cell_seed(master_seed: int, *parts) -> int:
 _FEATURIZE_BLOCK = 256
 
 
-def _filter_stack(segments) -> np.ndarray:
-    """Band-pass a stack of segments in one vectorized call."""
-    return bandpass(np.stack([s.data for s in segments]))
+def featurize(windows, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """`Windows` -> (X, y) under the input kind "tsd" or "spectrogram"; unlabeled y = -1.
 
-
-def featurize(segments, input_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Segments -> (X, y) under the input kind "tsd" or "spectrogram"; unlabeled y = -1.
-
-    The windows are stacked, band-passed and featurized `_FEATURIZE_BLOCK`
-    at a time, each block written into one float32 X. So besides X and y,
-    memory holds one block's float64 windows, their band-passed copy and
-    their features, however many segments there are. A band-passed window
-    and its features do not depend on the windows around it, so X has the
-    same bits for any block size.
+    `windows` is one recording's `segment_stream`, or a list of them whose
+    rows follow one another in X. Their windows are copied to float64
+    `_FEATURIZE_BLOCK` at a time (C order, as `np.stack` laid them out; a
+    block may span recordings), band-passed and featurized into one float32
+    X. So besides X and y, memory holds one block's float64 windows, their
+    band-passed copy and their features, however many windows there are. A
+    band-passed window and its features do not depend on the windows around
+    it, so X has the same bits for any block size.
     """
     if input_kind not in INPUT_KINDS:
         raise ParameterError(f"unknown input kind {input_kind!r}")
-    n = len(segments)
+    parts = [windows] if isinstance(windows, Windows) else windows
+    offsets = [0, *accumulate(map(len, parts))]  # of each part's first row in X
+    n = offsets[-1]
     if n == 0:
-        raise EmptyInputError("no segments to featurize")
+        raise EmptyInputError("no windows to featurize")
     features_of = tsd_matrix if input_kind == "tsd" else spectrograms
     x = None
     for lo in range(0, n, _FEATURIZE_BLOCK):
-        rows = features_of(_filter_stack(segments[lo : lo + _FEATURIZE_BLOCK]))
+        hi = lo + _FEATURIZE_BLOCK
+        # windows lo..hi-1 of the concatenated parts; a part outside them gives an empty slice
+        block = np.concatenate([p.data[max(lo - o, 0) : max(hi - o, 0)] for p, o in zip(parts, offsets)],
+                               dtype=np.float64)
+        rows = features_of(bandpass(block))
         if x is None:
             x = np.empty((n, *rows.shape[1:]), dtype=np.float32)
         x[lo : lo + len(rows)] = rows  # TSD's float64 rounds as astype(np.float32) would
-    y = np.fromiter((-1 if s.label is None else s.label for s in segments), dtype=np.int64, count=n)
+    y = np.concatenate([np.full(len(p), -1) if p.labels is None else p.labels for p in parts],
+                       dtype=np.int64)
     return x, y
 
 
@@ -183,14 +188,15 @@ class PreparedSession:
       time ordered, with its oracle labels (audit only); both None when the
       session has no evaluation recording.
 
-    Each part is segmented and featurized on its first read, and at most
+    Each part is windowed and featurized on its first read, and at most
     once, so a caller pays only for the parts it reads. `prepare_session`
     has checked every part before this object exists. The session's
     recordings must stay unchanged while a part is unread.
 
     Memory: a part kept is its float32 X and int64 y. While a part is
-    featurized, its segments hold one float64 copy of each of its recordings
-    (`segment_stream`), and `featurize` one block of windows on top.
+    featurized, each of its recordings is windowed as a view of its samples
+    (`segment_stream`), and `featurize` holds one block of float64 windows
+    on top.
     """
 
     def __init__(self, session, input_kind: str):
@@ -208,8 +214,8 @@ class PreparedSession:
 
     def _part(self, part: str) -> tuple[np.ndarray, np.ndarray]:
         if part not in self._parts:
-            segments = [seg for rec in self._recordings(part) for seg in segment_stream(rec)]
-            self._parts[part] = featurize(segments, self._input_kind)
+            windows = [segment_stream(rec) for rec in self._recordings(part)]
+            self._parts[part] = featurize(windows, self._input_kind)
         return self._parts[part]
 
     def _stream(self, i: int) -> np.ndarray | None:
@@ -237,7 +243,7 @@ def prepare_session(session, cfg: HarnessConfig) -> PreparedSession:
     for rec in train + test:
         window_starts(rec)
     if not train or not test:
-        raise EmptyInputError("no segments to featurize")
+        raise EmptyInputError("no windows to featurize")
     for rec in stream:
         window_starts(rec)
     return prep

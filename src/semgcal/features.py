@@ -29,7 +29,10 @@ max_threads: int | None = None
 def _descriptors(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Seven log-scaled descriptors of each row of a C-contiguous `x` (rows, samples).
 
-    Writes them into `out` (rows, 7), using `work` (2, >= x.size) as scratch,
+    The seven are the root-squared moments m0, m0-m2 and m0-m4, sparseness,
+    irregularity factor, coefficient of variation and the summed
+    Teager-Kaiser energy, each passed through log(eps + |.|). Writes them
+    into `out` (rows, 7), using `work` (2, >= x.size) as scratch,
     and returns the mask of rows that are identically zero; those fall back to
     log(eps) in every component. Radicands are made non-negative with an
     absolute value and zero denominators are floored at eps.
@@ -83,18 +86,6 @@ def _descriptors(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray
     zero_rows = abs_sum == 0.0  # a sum of |x| is 0 only if every sample is (NaN compares unequal)
     out[zero_rows] = np.log(TSD_EPS)
     return zero_rows
-
-
-def tsd_descriptor(x: np.ndarray) -> np.ndarray:
-    """Seven descriptors of one signal: root-squared moments m0, m0-m2, m0-m4,
-    sparseness, irregularity factor, coefficient of variation and the summed
-    Teager-Kaiser energy, each passed through log(eps + |.|)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 3:
-        raise ShapeError(f"descriptor needs a 1-D signal of length >= 3, got shape {x.shape}")
-    out = np.empty((1, 7))
-    _descriptors(np.ascontiguousarray(x)[None, :], np.empty((2, len(x))), out)
-    return out[0]
 
 
 def _real_cepstrum(x: np.ndarray) -> np.ndarray:

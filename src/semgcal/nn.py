@@ -35,10 +35,8 @@ CONVNET_INPUT_SHAPE = (4, 10, 24)
 TSD_INPUT_DIM = 385
 TSD_HIDDEN = (200, 200, 200)
 
-# Container versions: v2 ends in a CRC32 of everything after the magic; v1
-# (no checksum) is still read.
+# The container ends in a CRC32 of everything after the magic.
 _MAGIC = b"SEMGNET2"
-_MAGIC_V1 = b"SEMGNET1"
 
 
 class Conv2d:
@@ -348,25 +346,22 @@ def save_network(model: Network, path) -> None:
 def load_network(path) -> Network:
     """Read a `save_network` container.
 
-    A `SEMGNET2` container whose checksum does not match its contents raises
-    DataError. A `SEMGNET1` container, written before the checksum existed,
-    still loads and is checked only for its structure. A missing, truncated
-    or corrupt file raises DataError, and UsageError when it is not a
-    container at all.
+    A container whose checksum does not match its contents raises DataError,
+    as does a missing, truncated or corrupt file; a file that does not start
+    with the `SEMGNET2` magic (an older `SEMGNET1` file included) raises
+    UsageError.
     """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read network {path}: {exc}") from exc
-    magic = blob[: len(_MAGIC)]
-    if magic not in (_MAGIC, _MAGIC_V1):
+    if blob[: len(_MAGIC)] != _MAGIC:
         raise UsageError(f"{path}: not a network container")
     body = blob[len(_MAGIC) :]
-    if magic == _MAGIC:
-        if len(body) < 4 or struct.unpack("<I", body[-4:])[0] != zlib.crc32(body[:-4]):
-            raise DataError(f"{path}: network container fails its checksum")
-        body = body[:-4]
+    if len(body) < 4 or struct.unpack("<I", body[-4:])[0] != zlib.crc32(body[:-4]):
+        raise DataError(f"{path}: network container fails its checksum")
+    body = body[:-4]
     try:
         return _parse_network(body)
     except SemgCalError:

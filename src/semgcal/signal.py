@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import EmptyInputError, ParameterError, ShapeError
 
@@ -66,6 +66,18 @@ class Segment:
 
 
 @dataclass(frozen=True)
+class Windows:
+    """A recording's classification windows, as `segment_stream` cuts them."""
+
+    data: np.ndarray  # (N, channels, window) read-only view of the recording's samples
+    starts: range  # start index of each window
+    labels: list[int] | None  # majority label of each window; None if unlabeled
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+@dataclass(frozen=True)
 class SpectrogramExample:
     """ConvNet input: (4, 10, 24) = (time, channel, frequency), non-negative."""
 
@@ -115,11 +127,13 @@ def _window_labels(labels: np.ndarray, window: int, starts: range) -> list[int]:
 
     A window with no label change inside takes its first label; only the
     windows that straddle a change are counted out by `_majority_label`.
+    The changes are found by position, so no per-sample count is built.
     """
-    changes = np.concatenate(([0], np.cumsum(labels[1:] != labels[:-1])))
+    changes = np.flatnonzero(labels[1:] != labels[:-1])  # c: labels[c] != labels[c + 1]
     first = np.asarray(starts)
     out = [int(v) for v in labels[first]]
-    for i in np.flatnonzero(changes[first + window - 1] != changes[first]):
+    inside = np.searchsorted(changes, first + window - 1) - np.searchsorted(changes, first)
+    for i in np.flatnonzero(inside):
         start = starts[i]
         out[i] = _majority_label(labels[start : start + window])
     return out
@@ -127,24 +141,24 @@ def _window_labels(labels: np.ndarray, window: int, starts: range) -> list[int]:
 
 def segment_stream(
     rec: RawRecording, window_ms: int = WINDOW_MS, overlap_ms: int = OVERLAP_MS
-) -> list[Segment]:
-    """Slice a recording into overlapping windows.
+) -> Windows:
+    """The overlapping windows of a recording, as one view of its samples.
 
     With the defaults (150 ms window, 100 ms overlap at 1 kHz) the stride is
     50 samples and a stream of T samples yields floor((T - 150) / 50) + 1
-    segments ordered by start index (see `window_starts`). A labeled
-    recording gives each segment the majority label of its window.
+    windows ordered by start index (see `window_starts`). Nothing is copied:
+    `data` is a read-only strided view of `rec.samples`, in their dtype. A
+    labeled recording gives each window the majority label of its samples.
     """
     window, starts = window_starts(rec, window_ms, overlap_ms)
-    data = np.asarray(rec.samples, dtype=np.float64)
-    if rec.labels is None:
-        labels = [None] * len(starts)
-    else:
-        labels = _window_labels(np.asarray(rec.labels), window, starts)
-    return [
-        Segment(data=data[:, start : start + window], start_index=start, label=label)
-        for start, label in zip(starts, labels)
-    ]
+    # The view `sliding_window_view(samples, window, axis=1)[:, ::step]` gives,
+    # axes swapped, built directly: that function's checks cost about 9 us a
+    # call, more than the rest of windowing one 150-sample recording.
+    channel, sample = rec.samples.strides
+    data = as_strided(rec.samples, (len(starts), NUM_CHANNELS, window),
+                      (starts.step * sample, channel, sample), writeable=False)
+    labels = None if rec.labels is None else _window_labels(np.asarray(rec.labels), window, starts)
+    return Windows(data=data, starts=starts, labels=labels)
 
 
 # The band-pass's Butterworth sections: `scipy.signal.butter(BANDPASS_ORDER
@@ -158,11 +172,6 @@ _BANDPASS_SOS = np.array([
     [1.0, 2.0, 1.0, 1.0, 1.9555765195931698, 0.9565438637604617],
 ])
 _BANDPASS_SOS.flags.writeable = False
-
-
-def design_bandpass() -> np.ndarray:
-    """Second-order sections of the band-pass filter (bilinear-transform design)."""
-    return _BANDPASS_SOS.copy()
 
 
 def _sections_filter(sos: np.ndarray, x: np.ndarray, state: np.ndarray):
@@ -206,7 +215,7 @@ def _block_matrices():
 def bandpass(x: np.ndarray) -> np.ndarray:
     """Causal Butterworth band-pass of the last axis of `x`, from zero state.
 
-    The exact zero-state response of `design_bandpass`'s sections, computed
+    The exact zero-state response of `_BANDPASS_SOS`'s sections, computed
     as one matrix product: a signal of W <= 150 samples (one window) comes
     out as x @ T[:W, :W], where T[i, t] = h[t - i] (t >= i) holds the
     impulse response h. Longer signals run in 150-sample blocks that carry
@@ -238,7 +247,7 @@ def bandpass(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def hann_window(n: int) -> np.ndarray:
+def _hann(n: int) -> np.ndarray:
     """Periodic Hann window w[k] = 0.5 * (1 - cos(2 pi k / n))."""
     if n < 2:
         raise ParameterError(f"window length must be >= 2, got {n}")
@@ -257,24 +266,9 @@ def _frame_spectra(x: np.ndarray, win: int, hop: int) -> np.ndarray:
         raise ParameterError(f"hop must be >= 1, got {hop}")
     if x.shape[-1] < win:
         raise ShapeError(f"signal of {x.shape[-1]} samples shorter than window {win}")
-    w = hann_window(win)
+    w = _hann(win)
     frames = sliding_window_view(x, win, axis=-1)[..., ::hop, :]
     return np.abs(np.fft.rfft(frames * w, axis=-1))
-
-
-def spectrogram_channel(
-    channel_signal: np.ndarray, win: int = SPEC_WIN, hop: int = SPEC_HOP
-) -> np.ndarray:
-    """Magnitude spectrogram of one channel: (frames, win // 2 + 1).
-
-    Frames start at multiples of `hop`; each is Hann-windowed and transformed
-    with a real DFT. For a 150-sample window with win=48, hop=34 this yields
-    a 4x25 matrix (frames at offsets 0, 34, 68, 102).
-    """
-    x = np.asarray(channel_signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected 1-D channel signal, got shape {x.shape}")
-    return _frame_spectra(x, win, hop)
 
 
 def spectrograms(windows: np.ndarray) -> np.ndarray:

@@ -66,7 +66,12 @@ class TrainHistory:
 
 
 def stratified_split(y: np.ndarray, fraction: float, rng: np.random.Generator):
-    """Per-class shuffled holdout; every class keeps at least one training example."""
+    """Per-class shuffled holdout; every class keeps at least one training example.
+
+    Fewer than 2 rows raise DataError: the holdout would leave nothing to train on.
+    """
+    if len(y) < 2:
+        raise DataError(f"a train/validation split needs at least 2 rows, got {len(y)}")
     train_idx, val_idx = [], []
     for cid in np.unique(y):
         idx = np.flatnonzero(y == cid)
@@ -108,7 +113,9 @@ def fit(
     """Train `model` in place; restores the best-validation parameters at exit.
 
     Empty or non-finite training or validation inputs raise DataError before
-    any step; a validation loss that is never finite raises NumericError.
+    any step, as does a single training row without `val_data` (the split
+    would hold it out); a validation loss that is never finite raises
+    NumericError.
     The returned model's parameters hold no gradients.
 
     `step_extra(model, rng, xb, yb, feats)` may return an extra loss Tensor

@@ -34,8 +34,8 @@ from semgcal.relabel import (
     generate_pseudo_labels,
     mv_relabel,
 )
-from semgcal.signal import RawRecording, Segment, bandpass, build_spectrogram_example, \
-    design_bandpass, segment_stream, spectrogram_channel
+from semgcal.signal import SPEC_HOP, SPEC_WIN, _BANDPASS_SOS, RawRecording, Segment, _frame_spectra, \
+    bandpass, build_spectrogram_example, segment_stream
 from semgcal.stats import cohens_dz, friedman_test, holm_posthoc, wilcoxon_signed_rank
 from semgcal.train import TrainConfig, fit
 
@@ -195,7 +195,7 @@ def test_criterion_2_architecture_fidelity():
 def test_criterion_3_preprocessing_fidelity():
     with criterion(3, "spectrogram shapes, segmentation counts, Butterworth response"):
         seg = Segment(data=np.random.default_rng(0).standard_normal((10, 150)), start_index=0)
-        per_channel = spectrogram_channel(seg.data[0])
+        per_channel = _frame_spectra(seg.data[0], SPEC_WIN, SPEC_HOP)
         assert per_channel.shape == (4, 25)
         assert build_spectrogram_example(seg).tensor.shape == (4, 10, 24)
 
@@ -211,7 +211,7 @@ def test_criterion_3_preprocessing_fidelity():
 
         from scipy.signal import sosfreqz
 
-        sos = design_bandpass()
+        sos = _BANDPASS_SOS
         _, h100 = sosfreqz(sos, worN=[100.0], fs=1000)
         _, h5 = sosfreqz(sos, worN=[5.0], fs=1000)
         assert abs(20 * np.log10(abs(h100[0]))) <= 1.0

@@ -113,18 +113,18 @@ class EagerSession:
 
 def eager_prepare_session(session, cfg):
     """`prepare_session` as it was before parts were featurized on first
-    read, kept as an oracle: every part segmented and featurized at once."""
+    read, kept as an oracle: every part windowed and featurized at once."""
     if len(session.cycles) < 2:
         raise DataError(f"session {session.session} needs >= 2 cycles")
-    train_segments = []
+    train_windows = []
     for cycle in session.cycles[:-1]:
         for g in sorted(cycle):
-            train_segments.extend(segment_stream(cycle[g]))
-    test_segments = []
+            train_windows.append(segment_stream(cycle[g]))
+    test_windows = []
     for g in sorted(session.cycles[-1]):
-        test_segments.extend(segment_stream(session.cycles[-1][g]))
-    train_x, train_y = featurize(train_segments, cfg.input_kind)
-    test_x, test_y = featurize(test_segments, cfg.input_kind)
+        test_windows.append(segment_stream(session.cycles[-1][g]))
+    train_x, train_y = featurize(train_windows, cfg.input_kind)
+    test_x, test_y = featurize(test_windows, cfg.input_kind)
     stream_x = stream_y = None
     if session.evals:
         stream_x, stream_y = featurize(segment_stream(session.evals[0]), cfg.input_kind)
@@ -158,9 +158,9 @@ def record_featurized_parts(monkeypatch):
         preps.append(prepare(session, cfg))
         return preps[-1]
 
-    def counting_featurize(segments, input_kind):
-        calls.append(len(segments))
-        return featurize_(segments, input_kind)
+    def counting_featurize(windows, input_kind):
+        calls.append(len(windows))
+        return featurize_(windows, input_kind)
 
     monkeypatch.setattr(experiment, "prepare_session", recording_prepare)
     monkeypatch.setattr(experiment, "featurize", counting_featurize)

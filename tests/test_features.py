@@ -1,5 +1,6 @@
 """TSD descriptors and features."""
 
+import dataclasses
 import threading
 import tracemalloc
 
@@ -8,28 +9,44 @@ import pytest
 
 from semgcal import EmptyInputError, ParameterError, ShapeError
 from semgcal import features
-from semgcal.experiment import _FEATURIZE_BLOCK, _filter_stack, featurize
+from semgcal.experiment import _FEATURIZE_BLOCK, featurize
 from semgcal.features import (
     TSD_EPS,
+    _descriptors,
     _real_cepstrum,
     _similarity_combine,
-    tsd_descriptor,
     tsd_matrix,
 )
-from semgcal.signal import RawRecording, Segment, segment_stream
+from semgcal.signal import (
+    RawRecording,
+    Windows,
+    _window_labels,
+    bandpass,
+    segment_stream,
+    spectrograms,
+    window_starts,
+)
 from semgcal.synth import SynthConfig, synth_generate
+
+
+def descriptors_of(x):
+    """`_descriptors` of one 1-D signal: its seven values."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty((1, 7))
+    _descriptors(x[None, :], np.empty((2, len(x))), out)
+    return out[0]
 
 
 class TestTsdDescriptor:
     def test_all_zero_fallback(self):
-        d = tsd_descriptor(np.zeros(150))
+        d = descriptors_of(np.zeros(150))
         np.testing.assert_allclose(d, np.log(TSD_EPS))
 
     def test_hand_computed_moments_on_123(self):
         x = np.array([1.0, 2.0, 3.0])
         m0, m2, m4 = np.sqrt(14.0), np.sqrt(2.0), 0.0
         tk = abs(2.0**2 - 1.0 * 3.0)  # == 1
-        d = tsd_descriptor(x)
+        d = descriptors_of(x)
         assert d[0] == pytest.approx(np.log(TSD_EPS + m0))
         assert d[1] == pytest.approx(np.log(TSD_EPS + abs(m0 - m2)))
         assert d[2] == pytest.approx(np.log(TSD_EPS + abs(m0 - m4)))
@@ -56,19 +73,19 @@ class TestTsdDescriptor:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(rng.integers(3, 60))
-            np.testing.assert_allclose(tsd_descriptor(x), oracle(x), rtol=1e-12)
+            np.testing.assert_allclose(descriptors_of(x), oracle(x), rtol=1e-12)
 
     def test_doubling_shifts_m0_by_log2(self):
         x = np.random.default_rng(1).standard_normal(150) * 10
-        d1 = tsd_descriptor(x)[0]
-        d2 = tsd_descriptor(2.0 * x)[0]
+        d1 = descriptors_of(x)[0]
+        d2 = descriptors_of(2.0 * x)[0]
         assert d2 - d1 == pytest.approx(np.log(2.0), abs=1e-6)
 
 
 class TestTsdFeatures:
     def test_length_385(self):
-        seg = Segment(data=np.random.default_rng(0).standard_normal((10, 150)), start_index=0)
-        assert tsd_matrix(seg.data[None])[0].shape == (385,)
+        window = np.random.default_rng(0).standard_normal((10, 150))
+        assert tsd_matrix(window[None])[0].shape == (385,)
 
     def test_identical_descriptor_pair_gives_one(self):
         a = np.array([1.0, -2.0, 0.5, 3.0, -0.1, 2.2, 1.1])
@@ -76,14 +93,14 @@ class TestTsdFeatures:
         np.testing.assert_allclose(f, 1.0, atol=1e-6)
 
     def test_zero_segment_gives_zeros(self):
-        seg = Segment(data=np.zeros((10, 150)), start_index=0)
-        np.testing.assert_allclose(tsd_matrix(seg.data[None])[0], 0.0, atol=1e-9)
+        window = np.zeros((10, 150))
+        np.testing.assert_allclose(tsd_matrix(window[None])[0], 0.0, atol=1e-9)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(5)
         for seed in range(5):
-            seg = Segment(data=rng.standard_normal((10, 150)) * 50, start_index=0)
-            v = tsd_matrix(seg.data[None])[0]
+            window = rng.standard_normal((10, 150)) * 50
+            v = tsd_matrix(window[None])[0]
             assert np.all(v >= -1.0 - 1e-12) and np.all(v <= 1.0 + 1e-12)
             assert np.all(np.isfinite(v))
 
@@ -160,8 +177,8 @@ def tsd_windows():
     rng = np.random.default_rng(2024)
     synth = synth_generate(SynthConfig(subjects=1, sessions=1, gestures=3, seed=5, cycles=1,
                                        cycle_block_seconds=1.0, eval_blocks=1, eval_block_seconds=1.0))
-    segs = [s for rec in synth[0].sessions[0].cycles[0].values() for s in segment_stream(rec)]
-    filtered = _filter_stack(segs)[:40]
+    views = [segment_stream(rec).data for rec in synth[0].sessions[0].cycles[0].values()]
+    filtered = bandpass(np.concatenate(views, dtype=np.float64))[:40]
     scales = rng.uniform(0.01, 3000.0, size=(57, 1, 1))
     windows = np.concatenate([rng.standard_normal((57, 10, 150)) * scales, filtered])
     windows = windows[rng.permutation(97)]
@@ -196,7 +213,7 @@ class TestTsdMatrixBitExact:
         signals = [rng.standard_normal(n) * 40 for n in (3, 4, 17, 150, 301)]
         signals += [tsd_windows[0, 2], np.zeros(150)]
         for x in signals:
-            assert np.array_equal(tsd_descriptor(x), _reference_descriptors(x))
+            assert np.array_equal(descriptors_of(x), _reference_descriptors(x))
         assert np.array_equal(_real_cepstrum(tsd_windows), _reference_cepstrum(tsd_windows))
 
     def test_concurrent_callers_get_the_serial_result(self, tsd_windows):
@@ -225,7 +242,7 @@ class TestTsdBoundaries:
         (lambda: tsd_matrix(np.ones((2, 10, 150, 1))), ShapeError),
         (lambda: featurize([], "tsd"), EmptyInputError),
         (lambda: featurize([], "spectrogram"), EmptyInputError),
-        (lambda: featurize([Segment(data=np.ones((10, 150)), start_index=0)], "bogus"),
+        (lambda: featurize(Windows(data=np.ones((1, 10, 150)), starts=range(1), labels=None), "bogus"),
          ParameterError),
     ], ids=["2-D", "2-samples", "9-channels", "4-D", "featurize-empty", "spectrogram-empty",
             "featurize-unknown-kind"])
@@ -252,14 +269,18 @@ class TestFeaturizeBlocks:
         rng = np.random.default_rng(21)
         windows = rng.standard_normal((n, 10, 150)) * rng.uniform(1.0, 3000.0, (n, 1, 1))
         windows[_FEATURIZE_BLOCK, 4] = 0.0  # an all-zero channel, first window of the second block
-        segs = [Segment(data=w, start_index=50 * i, label=None if i % 3 else i % 11)
-                for i, w in enumerate(windows)]
-        x, y = featurize(segs, kind)
+        m = _FEATURIZE_BLOCK + 7  # a labeled recording, then an unlabeled one: block 2 spans both
+        labels = [i % 11 for i in range(m)]
+        parts = [Windows(data=windows[:m], starts=range(0, 50 * m, 50), labels=labels),
+                 Windows(data=windows[m:], starts=range(0, 50 * (n - m), 50), labels=None)]
+        x, y = featurize(parts, kind)
         assert x.dtype == np.float32 and len(x) == len(y) == n
-        for i, seg in enumerate(segs):
-            alone_x, alone_y = featurize([seg], kind)
+        for i in range(n):
+            label = labels[i] if i < m else None
+            alone = Windows(data=windows[i : i + 1], starts=range(1), labels=[label] if i < m else None)
+            alone_x, alone_y = featurize(alone, kind)
             assert np.array_equal(x[i], alone_x[0]), i
-            assert y[i] == alone_y[0] == (-1 if seg.label is None else seg.label), i
+            assert y[i] == alone_y[0] == (-1 if label is None else label), i
 
     def test_peak_grows_only_with_the_output(self, monkeypatch):
         # Besides X and y, featurize holds one block of windows, so past one
@@ -288,3 +309,108 @@ class TestFeaturizeBlocks:
         peak, out = traced(n)
         peak4, out4 = traced(4 * n)
         assert peak4 - peak <= out4 - out + 64 * 1024, (peak, peak4, out, out4)
+
+
+# -- frozen reference: the window path as it stood when every window was a
+# float64 copy in its own segment object, kept verbatim as the oracle of the
+# strided view.
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenSegment:
+    data: np.ndarray
+    start_index: int
+    label: int | None = None
+
+
+def _frozen_segment_stream(rec):
+    window, starts = window_starts(rec)
+    data = np.asarray(rec.samples, dtype=np.float64)
+    if rec.labels is None:
+        labels = [None] * len(starts)
+    else:
+        labels = _window_labels(np.asarray(rec.labels), window, starts)
+    return [
+        _FrozenSegment(data=data[:, start : start + window], start_index=start, label=label)
+        for start, label in zip(starts, labels)
+    ]
+
+
+def _frozen_filter_stack(segments):
+    return bandpass(np.stack([s.data for s in segments]))
+
+
+def _frozen_featurize(segments, input_kind):
+    n = len(segments)
+    features_of = tsd_matrix if input_kind == "tsd" else spectrograms
+    x = None
+    for lo in range(0, n, 256):
+        rows = features_of(_frozen_filter_stack(segments[lo : lo + 256]))
+        if x is None:
+            x = np.empty((n, *rows.shape[1:]), dtype=np.float32)
+        x[lo : lo + len(rows)] = rows
+    y = np.fromiter((-1 if s.label is None else s.label for s in segments), dtype=np.int64, count=n)
+    return x, y
+
+
+def _recording(t, labels=None, seed=0):
+    samples = np.random.default_rng(seed).integers(-3000, 3000, (10, t)).astype(np.int16)
+    return RawRecording(samples=samples, labels=None if labels is None else np.asarray(labels))
+
+
+WINDOW_CASES = {
+    "labeled": _recording(3000, np.repeat(np.arange(3), 1000), seed=1),
+    "unlabeled": _recording(2000, seed=2),
+    "one-window": _recording(150, np.zeros(150, dtype=np.int64), seed=3),
+    "partial-stride": _recording(150 + 50 * 7 + 23, np.zeros(523, dtype=np.int64), seed=4),
+    # the window at 100 holds 75 samples of each label: a tie, to the later label
+    "straddles-a-change": _recording(400, [2] * 175 + [5] * 225, seed=5),
+}
+
+
+class TestWindowPath:
+    """A recording's windows are one strided view of its samples."""
+
+    @pytest.mark.parametrize("kind", ["tsd", "spectrogram"])
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_featurize_equals_the_segment_path(self, case, kind):
+        rec = WINDOW_CASES[case]
+        x, y = featurize(segment_stream(rec), kind)
+        want_x, want_y = _frozen_featurize(_frozen_segment_stream(rec), kind)
+        assert x.dtype == want_x.dtype and y.dtype == want_y.dtype
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
+
+    @pytest.mark.parametrize("kind", ["tsd", "spectrogram"])
+    def test_recordings_of_a_part_equal_their_stacked_segments(self, kind):
+        # 306 windows: the second block starts inside the third recording
+        recs = [_recording(5000, np.repeat(np.arange(5), 1000), seed=s) for s in range(3)]
+        recs.append(_recording(700, seed=9))
+        x, y = featurize([segment_stream(rec) for rec in recs], kind)
+        segments = [seg for rec in recs for seg in _frozen_segment_stream(rec)]
+        assert len(segments) > _FEATURIZE_BLOCK
+        want_x, want_y = _frozen_featurize(segments, kind)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
+
+    def test_windows_are_a_read_only_view_of_the_samples(self):
+        rec = WINDOW_CASES["labeled"]
+        windows = segment_stream(rec)
+        assert np.shares_memory(windows.data, rec.samples)
+        assert windows.data.dtype == rec.samples.dtype and not windows.data.flags.writeable
+        for i, start in enumerate(windows.starts):
+            assert np.array_equal(windows.data[i], rec.samples[:, start : start + 150])
+
+    def test_windowing_a_90_s_recording_holds_no_copy(self):
+        # 1,798 windows: a float64 copy of the samples alone is 7.2 MB
+        t = 90 * 1000
+        rec = _recording(t, np.repeat(np.arange(36) % 11, t // 36), seed=6)
+        segment_stream(rec)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            windows = segment_stream(rec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 1798
+        assert held < 64 * 1024, held

@@ -465,6 +465,19 @@ class TestCli:
         assert rc == 1
         assert not list(tmp_path.glob("model_*.bin"))
 
+    def test_adapt_rejects_a_v1_model(self, trained_cli_model, tmp_path, capsys):
+        data_dir, model_path = trained_cli_model
+        v1 = tmp_path / "v1.bin"
+        v1.write_bytes(b"SEMGNET1" + model_path.read_bytes()[8:-4])  # the layout without a checksum
+        rc = main([
+            "adapt", "adabn", "--data", str(data_dir), "--model", str(v1),
+            "--subject", "0", "--session", "1", "--gestures", "7",
+            "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "not a network container" in capsys.readouterr().err
+        assert not list(tmp_path.glob("model_*.bin"))
+
     @pytest.mark.parametrize("content", [
         json.dumps({"synth": {"subjectz": 2}}),
         json.dumps({"harness": {"train": {"max_epochz": 3}}}),

@@ -18,7 +18,6 @@ from semgcal.nn import (
     EVAL_BATCH,
     TSD_HIDDEN,
     Dropout,
-    Network,
     _Ctx,
     build_spectrogram_convnet,
     load_network,
@@ -282,7 +281,7 @@ def _seal(body: bytes) -> bytes:
 
 
 def _as_v1(blob: bytes) -> bytes:
-    """The same network in the v1 layout, which has no checksum."""
+    """The same network in the retired v1 layout, which had no checksum."""
     return b"SEMGNET1" + blob[8:-4]
 
 
@@ -328,23 +327,19 @@ class TestCorruptContainers:
         with pytest.raises(DataError, match="checksum"):
             load_network(path)
 
-    def test_v1_container_still_loads(self, saved_blob):
+    def test_v1_container_is_not_a_network_container(self, saved_blob):
         blob, path = saved_blob
         path.write_bytes(_as_v1(blob))
-        loaded = load_network(path)
-        expected = build_tsd_dnn(7, seed=4).state_arrays()
-        for name, arr in loaded.state_arrays().items():
-            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
+        with pytest.raises(UsageError, match="not a network container"):
+            load_network(path)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_v1_bit_flip_loads_or_raises_semgcal_error(self, saved_blob, data):
+    def test_v1_bit_flip_is_not_a_network_container(self, saved_blob, data):
         blob, path = saved_blob
         path.write_bytes(_flip(_as_v1(blob), data))
-        try:
-            assert isinstance(load_network(path), Network)
-        except SemgCalError:
-            pass
+        with pytest.raises(UsageError, match="not a network container"):
+            load_network(path)
 
     @pytest.mark.parametrize("meta", [{"kind": "lstm", "num_gestures": 7}, {"num_gestures": 7},
                                       ["tsd_dnn", 7], {"kind": "tsd_dnn", "num_gestures": 7.0}])

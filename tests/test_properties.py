@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semgcal.dataio import _WRITE_BLOCK_ROWS, _read_int_csv, _write_csv
 from semgcal.features import tsd_matrix
 from semgcal.relabel import HeuristicConfig, PredictionStream, generate_pseudo_labels, mv_relabel
-from semgcal.signal import RawRecording, Segment, segment_stream
+from semgcal.signal import RawRecording, segment_stream
 from semgcal.stats import friedman_test, wilcoxon_signed_rank
 
 
@@ -46,18 +46,18 @@ def window_triples(draw):
 def test_segment_count_formula(triple):
     t, w, s = triple
     rec = RawRecording(samples=np.zeros((10, t), dtype=np.int16))
-    segments = segment_stream(rec, window_ms=w, overlap_ms=w - s)
+    windows = segment_stream(rec, window_ms=w, overlap_ms=w - s)
     starts = list(range(0, t - w + 1, s))
-    assert len(segments) == len(starts) == (t - w) // s + 1
-    assert [seg.start_index for seg in segments] == starts
+    assert len(windows) == len(starts) == (t - w) // s + 1
+    assert list(windows.starts) == starts
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_tsd_values_bounded_and_finite(seed):
     rng = np.random.default_rng(seed)
-    seg = Segment(data=rng.standard_normal((10, 150)) * rng.uniform(0.1, 40), start_index=0)
-    values = tsd_matrix(seg.data[None])[0]
+    window = rng.standard_normal((10, 150)) * rng.uniform(0.1, 40)
+    values = tsd_matrix(window[None])[0]
     assert values.shape == (385,)
     assert np.all(np.isfinite(values))
     assert np.all(values >= -1.0 - 1e-12) and np.all(values <= 1.0 + 1e-12)

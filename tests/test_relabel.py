@@ -68,8 +68,8 @@ class TestPredictionStream:
         # one row per segment_stream window: the heuristics' seconds count
         # windows at the stride that cut them
         rec = RawRecording(samples=np.zeros((10, 400), dtype=np.int16))
-        first, second = segment_stream(rec)[:2]
-        step_ms = (second.start_index - first.start_index) * 1000 // SAMPLE_RATE_HZ
+        first, second = segment_stream(rec).starts[:2]
+        step_ms = (second - first) * 1000 // SAMPLE_RATE_HZ
         assert STRIDE_MS == step_ms
         assert HeuristicConfig().segments(1.0) == 1000 // step_ms == 20
 

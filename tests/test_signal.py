@@ -1,4 +1,4 @@
-"""Preprocessing: segmentation, band-pass filter, Hann window, spectrograms."""
+"""Preprocessing: windowing, band-pass filter, Hann window, spectrograms."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,14 @@ from semgcal.signal import (
     SAMPLE_RATE_HZ,
     SPEC_HOP,
     SPEC_WIN,
+    _BANDPASS_SOS,
     RawRecording,
     Segment,
+    _frame_spectra,
+    _hann,
     bandpass,
     build_spectrogram_example,
-    design_bandpass,
-    hann_window,
     segment_stream,
-    spectrogram_channel,
     spectrograms,
     window_starts,
 )
@@ -47,20 +47,20 @@ def sliding_window_count(t, w, s):
 class TestSegmentStream:
     def test_5000_samples_gives_98_segments(self):
         rec = make_recording(5000)
-        segments = segment_stream(rec, window_ms=150, overlap_ms=100)
-        assert len(segments) == sliding_window_count(5000, 150, 50) == 98
+        windows = segment_stream(rec, window_ms=150, overlap_ms=100)
+        assert len(windows) == sliding_window_count(5000, 150, 50) == 98
 
     def test_single_window(self):
         rec = make_recording(150)
-        segments = segment_stream(rec)
-        assert len(segments) == 1
-        assert segments[0].start_index == 0
+        windows = segment_stream(rec)
+        assert len(windows) == 1
+        assert windows.starts[0] == 0
 
     def test_paper_defaults_window_and_stride(self):
         rec = make_recording(400)
-        segments = segment_stream(rec, window_ms=150, overlap_ms=100)
-        assert segments[0].data.shape == (10, 150)
-        assert segments[1].start_index - segments[0].start_index == 50
+        windows = segment_stream(rec, window_ms=150, overlap_ms=100)
+        assert windows.data[0].shape == (10, 150)
+        assert windows.starts[1] - windows.starts[0] == 50
 
     def test_count_formula_against_oracle_randomized(self):
         rng = np.random.default_rng(42)
@@ -71,25 +71,24 @@ class TestSegmentStream:
             t = int(rng.integers(w, w * 8))
             if t not in rec_cache:
                 rec_cache[t] = make_recording(t)
-            segments = segment_stream(rec_cache[t], window_ms=w, overlap_ms=w - s_ms)
-            assert len(segments) == sliding_window_count(t, w, s_ms)
+            windows = segment_stream(rec_cache[t], window_ms=w, overlap_ms=w - s_ms)
+            assert len(windows) == sliding_window_count(t, w, s_ms)
 
     def test_segments_ordered_by_start(self):
-        segments = segment_stream(make_recording(1234))
-        starts = [s.start_index for s in segments]
+        starts = list(segment_stream(make_recording(1234)).starts)
         assert starts == sorted(starts)
 
     def test_majority_label(self):
         labels = np.array([0] * 100 + [3] * 50)
         rec = make_recording(150, labels=labels)
-        (seg,) = segment_stream(rec)
-        assert seg.label == 0
+        (label,) = segment_stream(rec).labels
+        assert label == 0
 
     def test_majority_tie_goes_to_later_label(self):
         labels = np.array([2] * 75 + [5] * 75)
         rec = make_recording(150, labels=labels)
-        (seg,) = segment_stream(rec)
-        assert seg.label == 5
+        (label,) = segment_stream(rec).labels
+        assert label == 5
 
     def test_too_short_stream(self):
         with pytest.raises(EmptyInputError):
@@ -111,9 +110,9 @@ class TestSegmentStream:
         window, starts = window_starts(rec, window_ms, overlap_ms)
         assert window == window_ms * SAMPLE_RATE_HZ // 1000
         assert starts.step == (window_ms - overlap_ms) * SAMPLE_RATE_HZ // 1000
-        segments = segment_stream(rec, window_ms=window_ms, overlap_ms=overlap_ms)
-        assert [s.start_index for s in segments] == list(starts)
-        assert {s.data.shape for s in segments} == {(10, window)}
+        windows = segment_stream(rec, window_ms=window_ms, overlap_ms=overlap_ms)
+        assert list(windows.starts) == list(starts)
+        assert {w.shape for w in windows.data} == {(10, window)}
 
 
 def _frozen_window_labels(labels, window, stride):
@@ -150,15 +149,15 @@ class TestWindowLabels:
     def test_one_pass_labels_match_the_per_window_rule(self, stream):
         labels, window, stride = stream
         rec = make_recording(len(labels), labels=labels)
-        segments = segment_stream(rec, window_ms=window, overlap_ms=window - stride)
-        assert [s.label for s in segments] == _frozen_window_labels(labels, window, stride)
-        assert all(type(s.label) is int for s in segments)
+        windows = segment_stream(rec, window_ms=window, overlap_ms=window - stride)
+        assert windows.labels == _frozen_window_labels(labels, window, stride)
+        assert all(type(label) is int for label in windows.labels)
 
     def test_alternating_one_sample_runs(self):
         labels = np.tile([4, 1], 75)
         rec = make_recording(150, labels=labels)
-        (seg,) = segment_stream(rec)
-        assert seg.label == _frozen_window_labels(labels, 150, 50)[0] == 1
+        (label,) = segment_stream(rec).labels
+        assert label == _frozen_window_labels(labels, 150, 50)[0] == 1
 
 
 class TestBandpass:
@@ -171,7 +170,7 @@ class TestBandpass:
 
     def test_100hz_within_1db(self):
         # frequency-response oracle for the designed filter
-        w, h = sps.sosfreqz(design_bandpass(), worN=[100.0], fs=1000)
+        w, h = sps.sosfreqz(_BANDPASS_SOS, worN=[100.0], fs=1000)
         oracle_db = 20 * np.log10(np.abs(h[0]))
         assert abs(oracle_db) <= 1.0
 
@@ -182,7 +181,7 @@ class TestBandpass:
         assert abs(20 * np.log10(amp)) <= 1.0
 
     def test_5hz_attenuated_20db(self):
-        w, h = sps.sosfreqz(design_bandpass(), worN=[5.0], fs=1000)
+        w, h = sps.sosfreqz(_BANDPASS_SOS, worN=[5.0], fs=1000)
         assert 20 * np.log10(np.abs(h[0])) <= -20.0
 
         t = np.arange(5000)
@@ -202,16 +201,16 @@ class TestBandpass:
 
     def test_filter_is_order_four(self):
         # two second-order sections == fourth order
-        assert design_bandpass().shape[0] == 2
+        assert _BANDPASS_SOS.shape[0] == 2
 
     def test_shipped_constants_are_a_valid_design(self):
         # nothing checks the constants at run time
         assert 0.0 < BANDPASS_LOW_HZ < BANDPASS_HIGH_HZ < SAMPLE_RATE_HZ / 2
         assert BANDPASS_ORDER > 0 and BANDPASS_ORDER % 2 == 0
-        assert design_bandpass().shape == (BANDPASS_ORDER // 2, 6)
+        assert _BANDPASS_SOS.shape == (BANDPASS_ORDER // 2, 6)
 
     def test_zeros_at_dc_and_nyquist(self):
-        sos = design_bandpass()
+        sos = _BANDPASS_SOS
         zeros = np.sort(np.concatenate([np.roots(section[:3]) for section in sos]).real)
         np.testing.assert_allclose(zeros, [-1.0, -1.0, 1.0, 1.0], atol=1e-6)
         nyquist = np.tile((-1.0) ** np.arange(3000), (10, 1))
@@ -232,11 +231,11 @@ class TestBandpass:
 class TestBandpassMatchesScipy:
     def test_shipped_design_bit_identical(self):
         want = sps.butter(2, [20.0, 495.0], btype="bandpass", fs=1000, output="sos")
-        assert np.array_equal(design_bandpass(), want)
+        assert np.array_equal(_BANDPASS_SOS, want)
 
     def test_poles_are_two_complex_pairs(self):
         # the design takes no real-pole branch
-        sos = design_bandpass()
+        sos = _BANDPASS_SOS
         poles = np.concatenate([np.roots(section[3:]) for section in sos])
         _, want, _ = sps.butter(2, [20.0, 495.0], btype="bandpass", fs=1000, output="zpk")
         key = lambda p: (round(p.real, 6), p.imag)
@@ -255,19 +254,19 @@ class TestBandpassMatchesScipy:
         t = np.arange(4 * SAMPLE_RATE_HZ)
         out = bandpass(np.sin(2 * np.pi * freq * t / SAMPLE_RATE_HZ))
         amp = np.sqrt(2.0 * np.mean(out[-SAMPLE_RATE_HZ:] ** 2))
-        _, h = sps.sosfreqz(design_bandpass(), worN=[freq], fs=SAMPLE_RATE_HZ)
+        _, h = sps.sosfreqz(_BANDPASS_SOS, worN=[freq], fs=SAMPLE_RATE_HZ)
         np.testing.assert_allclose(amp, np.abs(h[0]), rtol=1e-9)
 
     @pytest.mark.parametrize("edge", [BANDPASS_LOW_HZ, BANDPASS_HIGH_HZ])
     def test_band_edges_at_half_power(self, edge):
-        _, h = sps.sosfreqz(design_bandpass(), worN=[edge], fs=SAMPLE_RATE_HZ)
+        _, h = sps.sosfreqz(_BANDPASS_SOS, worN=[edge], fs=SAMPLE_RATE_HZ)
         np.testing.assert_allclose(np.abs(h[0]), np.sqrt(0.5), rtol=1e-9)
 
     @pytest.mark.parametrize("length", [1, 2, 149, 150, 151, 300, 4000])
     @pytest.mark.parametrize("lead", [(), (7,), (3, 10)])
     def test_bandpass_equals_sosfilt(self, length, lead):
         x = np.random.default_rng(length).integers(-2000, 2000, size=(*lead, length)).astype(float)
-        want = sps.sosfilt(design_bandpass(), x, axis=-1)
+        want = sps.sosfilt(_BANDPASS_SOS.copy(), x, axis=-1)  # scipy takes no read-only sos
         got = bandpass(x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -283,21 +282,21 @@ class TestBandpassMatchesScipy:
 
 class TestHannWindow:
     def test_endpoint_zero(self):
-        assert hann_window(48)[0] == 0.0
+        assert _hann(48)[0] == 0.0
 
     def test_midpoint_one(self):
-        assert hann_window(48)[24] == pytest.approx(1.0, abs=1e-15)
+        assert _hann(48)[24] == pytest.approx(1.0, abs=1e-15)
 
     def test_n4_values(self):
-        np.testing.assert_allclose(hann_window(4), [0.0, 0.5, 1.0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(_hann(4), [0.0, 0.5, 1.0, 0.5], atol=1e-15)
 
     def test_range(self):
-        w = hann_window(48)
+        w = _hann(48)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
     def test_too_short(self):
         with pytest.raises(ParameterError):
-            hann_window(1)
+            _hann(1)
 
 
 def direct_dft_magnitudes(x, win, hop):
@@ -317,7 +316,7 @@ def direct_dft_magnitudes(x, win, hop):
 class TestSpectrogram:
     def test_150_samples_four_frames_25_bins(self):
         x = np.random.default_rng(3).standard_normal(150)
-        s = spectrogram_channel(x, win=48, hop=34)
+        s = _frame_spectra(x, 48, 34)
         assert s.shape == (4, 25)
 
     def test_frame_offsets_from_overlap_14(self):
@@ -325,32 +324,32 @@ class TestSpectrogram:
         # past sample 116 is visible to the last frame only
         x = np.zeros(150)
         x[120:150] = np.random.default_rng(5).standard_normal(30)
-        s = spectrogram_channel(x)
+        s = _frame_spectra(x, SPEC_WIN, SPEC_HOP)
         assert np.allclose(s[:3], 0)
         assert s[3].sum() > 0
 
     def test_all_zero_input(self):
-        assert np.all(spectrogram_channel(np.zeros(150)) == 0)
+        assert np.all(_frame_spectra(np.zeros(150), SPEC_WIN, SPEC_HOP) == 0)
 
     def test_bin5_cosine_dominates_and_matches_dft_oracle(self):
         t = np.arange(150)
         x = np.cos(2 * np.pi * 5.0 * t / 48.0)
-        s = spectrogram_channel(x)
+        s = _frame_spectra(x, SPEC_WIN, SPEC_HOP)
         assert np.all(np.argmax(s, axis=1) == 5)
         np.testing.assert_allclose(s, direct_dft_magnitudes(x, 48, 34), atol=1e-9)
 
     def test_non_negative(self):
         x = np.random.default_rng(11).standard_normal(150)
-        assert np.all(spectrogram_channel(x) >= 0)
+        assert np.all(_frame_spectra(x, SPEC_WIN, SPEC_HOP) >= 0)
 
     def test_too_short_signal(self):
         with pytest.raises(ShapeError):
-            spectrogram_channel(np.zeros(40))
+            _frame_spectra(np.zeros(40), SPEC_WIN, SPEC_HOP)
 
     @pytest.mark.parametrize("hop", [0, -3])
     def test_hop_below_one_rejected(self, hop):
         with pytest.raises(ParameterError):
-            spectrogram_channel(np.zeros(150), hop=hop)
+            _frame_spectra(np.zeros(150), SPEC_WIN, hop)
 
     @pytest.mark.parametrize("call", [
         lambda: spectrograms(np.zeros((2, 10, 40))),
@@ -388,7 +387,7 @@ class TestSpectrogramExample:
         ex = build_spectrogram_example(seg)
         for c in range(10):
             np.testing.assert_allclose(
-                ex.tensor[:, c, :], spectrogram_channel(seg.data[c])[:, 1:], rtol=1e-6, atol=1e-6
+                ex.tensor[:, c, :], _frame_spectra(seg.data[c], SPEC_WIN, SPEC_HOP)[:, 1:], rtol=1e-6, atol=1e-6
             )
 
     def test_non_negative(self):
@@ -399,8 +398,8 @@ class TestSpectrogramExample:
         # offset moves only those two bins of the pre-drop 4x25 spectrogram;
         # bins >= 2 are unchanged and bin 0 absorbs the larger share.
         filtered = bandpass(self.rand_segment(6).data)
-        base = np.stack([spectrogram_channel(ch) for ch in filtered])
-        shifted = np.stack([spectrogram_channel(ch + 10.0) for ch in filtered])
+        base = np.stack([_frame_spectra(ch, SPEC_WIN, SPEC_HOP) for ch in filtered])
+        shifted = np.stack([_frame_spectra(ch + 10.0, SPEC_WIN, SPEC_HOP) for ch in filtered])
         np.testing.assert_allclose(shifted[:, :, 2:], base[:, :, 2:], rtol=1e-9, atol=1e-9)
         delta0 = np.abs(shifted[:, :, 0] - base[:, :, 0]).mean()
         delta1 = np.abs(shifted[:, :, 1] - base[:, :, 1]).mean()
@@ -410,8 +409,9 @@ class TestSpectrogramExample:
         rec = make_recording(2000, seed=21)
         def run():
             out = []
-            for seg in segment_stream(rec):
-                filtered = Segment(data=bandpass(seg.data), start_index=seg.start_index)
+            windows = segment_stream(rec)
+            for data, start in zip(windows.data, windows.starts):
+                filtered = Segment(data=bandpass(data), start_index=start)
                 out.append(build_spectrogram_example(filtered).tensor)
             return np.stack(out)
         a, b = run(), run()
@@ -425,7 +425,7 @@ class TestSpectrogramExample:
 def _reference_spectrogram_channel(x, win=SPEC_WIN, hop=SPEC_HOP):
     x = np.asarray(x, dtype=np.float64)
     n_frames = (len(x) - win) // hop + 1
-    w = hann_window(win)
+    w = _hann(win)
     frames = np.stack([x[i * hop : i * hop + win] for i in range(n_frames)])
     return np.abs(np.fft.rfft(frames * w, axis=-1))
 
@@ -433,7 +433,7 @@ def _reference_spectrogram_channel(x, win=SPEC_WIN, hop=SPEC_HOP):
 def _reference_spectrogram_tensor(data):
     x = np.asarray(data, dtype=np.float64)
     n_frames = (x.shape[1] - SPEC_WIN) // SPEC_HOP + 1
-    w = hann_window(SPEC_WIN)
+    w = _hann(SPEC_WIN)
     frames = np.stack(
         [x[:, i * SPEC_HOP : i * SPEC_HOP + SPEC_WIN] for i in range(n_frames)], axis=1
     )
@@ -446,7 +446,7 @@ class TestSpectrogramsMatchFrozen:
     @pytest.mark.parametrize("length", [150, 151, 200])
     def test_channel_bit_identical(self, win, hop, length):
         x = np.random.default_rng(length + win).standard_normal(length) * 300
-        assert np.array_equal(spectrogram_channel(x, win=win, hop=hop),
+        assert np.array_equal(_frame_spectra(x, win, hop),
                               _reference_spectrogram_channel(x, win, hop))
 
     @pytest.mark.parametrize("samples", [150, 167, 183])
@@ -463,9 +463,9 @@ class TestSpectrogramsMatchFrozen:
 
     def test_featurize_equals_per_segment_path(self):
         rec = make_recording(3000, labels=np.repeat(np.arange(3), 1000), seed=17)
-        segs = segment_stream(rec)
-        x, y = featurize(segs, "spectrogram")
-        want = np.stack([_reference_spectrogram_tensor(bandpass(seg.data)) for seg in segs])
-        assert x.shape == (len(segs), 4, 10, 24)
+        windows = segment_stream(rec)
+        x, y = featurize(windows, "spectrogram")
+        want = np.stack([_reference_spectrogram_tensor(bandpass(w)) for w in windows.data])
+        assert x.shape == (len(windows), 4, 10, 24)
         assert np.array_equal(x, want)
-        assert y.tolist() == [seg.label for seg in segs]
+        assert y.tolist() == windows.labels

@@ -164,6 +164,15 @@ class TestStratifiedSplit:
         tr, va = stratified_split(y, 0.1, np.random.default_rng(0))
         assert len(va) >= 1
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_raise(self, rows):
+        with pytest.raises(DataError, match="at least 2 rows"):
+            stratified_split(np.zeros(rows, dtype=np.int64), 0.1, np.random.default_rng(0))
+
+    def test_two_rows_split_one_and_one(self):
+        tr, va = stratified_split(np.array([3, 3]), 0.1, np.random.default_rng(0))
+        assert len(tr) == len(va) == 1 and tr.dtype.kind == va.dtype.kind == "i"
+
 
 class TestFit:
     def test_separable_data_reaches_99_percent(self):
@@ -190,6 +199,14 @@ class TestFit:
         recomputed = _eval_loss(model, x[va], y[va])
         assert recomputed == pytest.approx(best, rel=1e-5)
         assert all(best <= v + 1e-12 for v in val_losses[history.best_epoch:])
+
+    def test_one_row_raises_before_any_step(self):
+        model = build_tsd_dnn(11, seed=0)
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        with pytest.raises(DataError, match="at least 2 rows"):
+            fit(model, np.ones((1, 385), np.float32), np.zeros(1, np.int64), TrainConfig())
+        for name, arr in model.state_arrays().items():
+            assert np.array_equal(arr, before[name]), name
 
     def test_bad_data_raises(self):
         x, y = separable_tsd_data(seed=1, classes=2)
