@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, UsageError, check_int, check_real
-from .nn import BatchNorm, Network, _Ctx
+from .nn import BatchNorm, Network
 from .optim import Adam
 from .relabel import (
     HeuristicConfig,
@@ -94,7 +94,7 @@ def vat_perturbation(model: Network, x: np.ndarray, p0: np.ndarray, ls0: np.ndar
     x = np.asarray(x, dtype=np.float32)
     d = rng.standard_normal(x.shape)
     d /= _row_norms(d) + 1e-12
-    with model.evaluating(), _params_frozen(model):
+    with _params_frozen(model):
         # the curvature probe runs in float64: at xi = 1e-6 the divergence
         # is ~xi^2 and its gradient would vanish in float32 rounding noise
         probe = Tensor(x.astype(np.float64) + xi * d, requires_grad=True)
@@ -107,9 +107,8 @@ def vat_perturbation(model: Network, x: np.ndarray, p0: np.ndarray, ls0: np.ndar
 def vat_loss_at(model: Network, x: np.ndarray, r: np.ndarray,
                 p0: np.ndarray, ls0: np.ndarray) -> Tensor:
     """Mean KL(p0 || h(x + r)) with p0 and r held constant; differentiable
-    with respect to the parameters only (eval-mode forward)."""
-    with model.evaluating():
-        return ad.kl_to_fixed(p0, ls0, model.logits(np.asarray(x, dtype=np.float32) + r))
+    with respect to the parameters only (an inference pass: no generator)."""
+    return ad.kl_to_fixed(p0, ls0, model.logits(np.asarray(x, dtype=np.float32) + r))
 
 
 def vat_loss(model: Network, batch: np.ndarray, epsilon: float, xi: float = 1e-6, *,
@@ -117,7 +116,7 @@ def vat_loss(model: Network, batch: np.ndarray, epsilon: float, xi: float = 1e-6
     """Virtual adversarial loss: mean KL(h(x) || h(x + r)) for the adversarial
     perturbation r of norm epsilon found by one power iteration from `rng`.
 
-    Runs the network in eval mode (deterministic forward, no dropout, batch
+    Runs an inference pass (no generator: deterministic, no dropout, batch
     norm on running statistics); the returned tensor is differentiable with
     respect to the parameters only.
     """
@@ -253,7 +252,6 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
                 xb = x[order[lo : lo + cfg.batch_size]]
                 ls_t = ad.log_softmax_rows(teacher.eval_logits(xb).astype(np.float64))
                 p_t = np.exp(ls_t)
-                model.train()
                 opt.zero_grad()
                 logits = model.logits(xb, rng=rng)
                 loss = ad.mul(ad.kl_to_fixed(p_t, ls_t, logits), acfg.beta)
@@ -264,7 +262,6 @@ def dirt_t_refine(model: Network, x_tgt: np.ndarray, acfg: AdaptConfig | None = 
                 loss.backward()
                 opt.step()
         model.zero_grad()  # so neither the next teacher nor the result copies them
-    model.eval()
     return model
 
 
@@ -272,7 +269,7 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray) -> Network:
     """Replace every batch-norm layer's running statistics with the population
     statistics of its input over the target data; all weights stay untouched.
 
-    One eval-mode sweep moves the target batches of `ADABN_BATCH` rows
+    One inference sweep moves the target batches of `ADABN_BATCH` rows
     through the feature layers, holding one layer's activations at a time:
     at each batch norm the statistics of its input are set before the
     batches pass through it, so the statistics feeding layer k+1 already
@@ -283,8 +280,6 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray) -> Network:
     if len(x) < 2:
         raise DataError(f"AdaBN needs at least 2 target examples, got {len(x)}")
     out = model.clone()
-    out.eval()
-    ctx = _Ctx(False, None)
     layers = out.feature_layers
     last_bn = max((pos for pos, layer in enumerate(layers) if isinstance(layer, BatchNorm)), default=-1)
     acts = [out.layer_input(x[lo : lo + ADABN_BATCH]).data for lo in range(0, len(x), ADABN_BATCH)]
@@ -294,7 +289,7 @@ def adabn_adapt(model: Network, x_tgt: np.ndarray) -> Network:
                 layer.set_stats(*_population_stats(acts))
             if pos < last_bn:
                 for k, a in enumerate(acts):
-                    acts[k] = layer(Tensor(a), ctx).data
+                    acts[k] = layer(Tensor(a), None).data
     return out
 
 
@@ -325,7 +320,7 @@ class ScadannResult:
 
 
 def prediction_stream(model: Network, x_stream: np.ndarray) -> PredictionStream:
-    """Eval-mode softmax rows over time-ordered examples, one window stride apart."""
+    """Inference-pass softmax rows over time-ordered examples, one window stride apart."""
     return PredictionStream(rows=model.predict_probs(np.asarray(x_stream, dtype=np.float32)))
 
 

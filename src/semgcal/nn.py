@@ -5,11 +5,14 @@ fully connected blocks, each convolution/linear -> batch norm -> leaky ReLU
 -> dropout), followed by a gesture head and a domain head. The domain head is
 reached through a gradient-reversal node so that domain-adversarial training
 can push the features toward session invariance.
+
+A forward's mode is its dropout generator. Given one, it is a training pass:
+batch statistics, a running-statistics update and a dropout draw from it.
+Given none, it is an inference pass: running statistics and no dropout.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import io
 import json
@@ -23,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, ParameterError, SemgCalError, ShapeError, UsageError
 
-EVAL_BATCH = 1024  # rows per eval-mode forward pass
+EVAL_BATCH = 1024  # rows per inference forward pass
 
 # Spectrogram ConvNet block layout: channels per block, all 3x3 valid
 # convolutions without bias (the batch norm absorbs it). With the 11-gesture
@@ -48,7 +51,7 @@ class Conv2d:
     def params(self):
         return [(f"{self.name}.w", self.w)]
 
-    def __call__(self, x, ctx):
+    def __call__(self, x, rng):
         return ad.conv2d(x, self.w)
 
 
@@ -62,7 +65,7 @@ class Linear:
     def params(self):
         return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-    def __call__(self, x, ctx):
+    def __call__(self, x, rng):
         return ad.linear(x, self.w, self.b)
 
 
@@ -85,16 +88,16 @@ class BatchNorm:
         self.running_mean = np.asarray(mean, dtype=self.running_mean.dtype).copy()
         self.running_var = np.asarray(var, dtype=self.running_var.dtype).copy()
 
-    def __call__(self, x, ctx):
+    def __call__(self, x, rng):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=ctx.training)
+                             training=rng is not None)
 
 
 class LeakyReLU:
     def params(self):
         return []
 
-    def __call__(self, x, ctx):
+    def __call__(self, x, rng):
         return ad.leaky_relu(x)
 
 
@@ -102,34 +105,26 @@ class Dropout:
     def params(self):
         return []
 
-    def __call__(self, x, ctx):
-        if not ctx.training or ctx.rng is None:
-            return x
-        return ad.dropout(x, ctx.rng)
+    def __call__(self, x, rng):
+        return x if rng is None else ad.dropout(x, rng)
 
 
 class GlobalAvgPool:
     def params(self):
         return []
 
-    def __call__(self, x, ctx):
+    def __call__(self, x, rng):
         return ad.global_avg_pool(x)
-
-
-class _Ctx:
-    __slots__ = ("training", "rng")
-
-    def __init__(self, training, rng):
-        self.training = training
-        self.rng = rng
 
 
 class Network:
     """Parameter set of one classifier: feature extractor plus two heads.
 
-    Holds every trainable tensor under a unique name, the batch-norm running
-    statistics, and a training-mode flag. Instances are mutated only by their
-    owning training loop; a trained network is safe to share for inference.
+    Holds every trainable tensor under a unique name and the batch-norm
+    running statistics. A forward with a dropout generator is a training pass
+    and updates the running statistics; one without is an inference pass and
+    changes nothing. Instances are mutated only by their owning training loop;
+    a trained network is safe to share for inference.
     """
 
     def __init__(self, kind, num_gestures, feature_layers, gesture_head, domain_head, input_shape):
@@ -139,7 +134,6 @@ class Network:
         self.gesture_head = gesture_head
         self.domain_head = domain_head
         self.input_shape = tuple(input_shape)
-        self.training = False
 
     # -- parameter access ---------------------------------------------------
     def named_parameters(self) -> dict[str, Tensor]:
@@ -173,13 +167,6 @@ class Network:
         for t in self.named_parameters().values():
             t.zero_grad()
 
-    def train(self, mode: bool = True):
-        self.training = mode
-        return self
-
-    def eval(self):
-        return self.train(False)
-
     def clone(self) -> "Network":
         return copy.deepcopy(self)
 
@@ -194,14 +181,15 @@ class Network:
         return ad._channel_major(t) if t.data.ndim == 4 else t
 
     def features(self, x, rng=None) -> Tensor:
+        """The feature layers over `x`: a training pass with dropout drawn
+        from `rng`, an inference pass without one."""
         t = self.layer_input(x)
-        ctx = _Ctx(self.training, rng)
         for layer in self.feature_layers:
-            t = layer(t, ctx)
+            t = layer(t, rng)
         return t
 
     def logits(self, x, rng=None) -> Tensor:
-        """The gesture head's logits."""
+        """The gesture head's logits over `features(x, rng)`."""
         return self.head_logits(self.features(x, rng=rng), "gesture")
 
     def head_logits(self, feats: Tensor, head: str, grl_lambda: float | None = None) -> Tensor:
@@ -217,31 +205,20 @@ class Network:
                 feats = ad.gradient_reversal(feats, grl_lambda)
         else:
             raise UsageError(f"unknown head {head!r}")
-        return layer(feats, _Ctx(self.training, None))
-
-    @contextlib.contextmanager
-    def evaluating(self):
-        """Eval mode for the length of the block; the training flag is
-        restored on exit, also when the block raises."""
-        was_training = self.training
-        self.training = False
-        try:
-            yield self
-        finally:
-            self.training = was_training
+        return layer(feats, None)
 
     def eval_logits(self, x) -> np.ndarray:
-        """Eval-mode gesture logits, computed off the tape in batches of
+        """Inference-pass gesture logits, computed off the tape in batches of
         `EVAL_BATCH` rows. Zero rows give a (0, num_gestures) float32 array."""
         if len(x) == 0:
             self.layer_input(x)  # the shape check every batch gets
             return np.zeros((0, self.num_gestures), dtype=np.float32)
-        with self.evaluating(), ad.no_grad():
+        with ad.no_grad():
             return np.concatenate([self.logits(x[lo : lo + EVAL_BATCH]).data
                                    for lo in range(0, len(x), EVAL_BATCH)])
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode gesture softmax rows of `eval_logits`."""
+        """Gesture softmax rows of `eval_logits`."""
         return ad.softmax_rows(self.eval_logits(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -254,20 +231,23 @@ class Network:
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
+        """Every parameter and running statistic from `arrays`, checked by
+        name and shape before any is set: UsageError for a missing or an
+        unexpected name, ShapeError for a wrong shape."""
         params = self.named_parameters()
-        stats_names = set(self.named_stats())
-        for name, t in params.items():
+        current = {name: t.data for name, t in params.items()} | self.named_stats()
+        for name, arr in current.items():
             if name not in arrays:
-                raise UsageError(f"missing parameter {name} in state")
-            if arrays[name].shape != t.data.shape:
-                raise ShapeError(f"shape mismatch for {name}")
-            t.data = arrays[name].astype(t.data.dtype).copy()
-        for bn in self.bn_layers():
-            mean_name, var_name = (n for n, _ in bn.stats())
-            bn.set_stats(arrays[mean_name], arrays[var_name])
-        extra = set(arrays) - set(params) - stats_names
+                raise UsageError(f"missing tensor {name} in state")
+            if arrays[name].shape != arr.shape:
+                raise ShapeError(f"shape mismatch for {name}: expected {arr.shape}, got {arrays[name].shape}")
+        extra = set(arrays) - set(current)
         if extra:
             raise UsageError(f"unexpected tensors in state: {sorted(extra)}")
+        for name, t in params.items():
+            t.data = arrays[name].astype(t.data.dtype).copy()
+        for bn in self.bn_layers():
+            bn.set_stats(*(arrays[name] for name, _ in bn.stats()))
 
 
 def build_spectrogram_convnet(num_gestures: int, seed: int = 0) -> Network:

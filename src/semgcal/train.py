@@ -89,7 +89,7 @@ def stratified_split(y: np.ndarray, fraction: float, rng: np.random.Generator):
 
 
 def _eval_loss(model: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean eval-mode cross-entropy, summed over `EVAL_BATCH`-row slices."""
+    """Mean inference-pass cross-entropy, summed over `EVAL_BATCH`-row slices."""
     logits = model.eval_logits(x)
     total = 0.0
     for lo in range(0, len(x), EVAL_BATCH):
@@ -152,7 +152,6 @@ def fit(
     since_improve = 0
     since_anneal = 0
     for epoch in range(cfg.max_epochs):
-        model.train()
         order = rng.permutation(len(x_tr))
         total = 0.0
         for lo in range(0, len(order), cfg.batch_size):
@@ -188,5 +187,4 @@ def fit(
         raise NumericError(f"no finite validation loss in {len(history.epochs)} epochs")
     model.load_state_arrays(best_state)
     model.zero_grad()  # the last step's gradients: nothing reads them again
-    model.eval()
     return history

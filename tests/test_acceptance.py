@@ -6,7 +6,6 @@ is re-run from scratch for the byte-identical reproducibility criterion.
 """
 
 import contextlib
-import dataclasses
 import filecmp
 import statistics
 import time
@@ -19,7 +18,6 @@ import semgcal.autodiff as ad
 from semgcal import build_tsd_dnn
 from semgcal.adapt import (
     AdaptConfig,
-    _domain_loss,
     adabn_adapt,
     dirt_t_refine,
     vat_loss,
@@ -30,7 +28,6 @@ from semgcal.nn import TSD_HIDDEN, Linear, Network, build_spectrogram_convnet
 from semgcal.relabel import (
     HeuristicConfig,
     PredictionStream,
-    entropy_rows,
     generate_pseudo_labels,
     mv_relabel,
 )
@@ -88,7 +85,6 @@ def test_criterion_1_autodiff_correctness():
         # quantities of VAT are held at their base-parameter values).
         net = mini_net(in_dim=12, hidden=10, classes=4, seed=3, dropout=False,
                        with_bn=False, dtype=np.float64)
-        net.train()
         params = list(net.named_parameters().values())
         xs = rng.standard_normal((6, 12))
         ys = rng.integers(0, 4, 6)
@@ -180,13 +176,13 @@ def test_criterion_2_architecture_fidelity():
         convnet = build_spectrogram_convnet(11)
         assert convnet.num_parameters() == 206_548
         x = np.zeros((2, 4, 10, 24), dtype=np.float32)
-        assert convnet.eval().predict_probs(x).shape == (2, 11)
+        assert convnet.predict_probs(x).shape == (2, 11)
 
         dnn = build_tsd_dnn(11)
         assert TSD_HIDDEN == (200, 200, 200)
         widths = [dnn.named_parameters()[f"fc{i}.w"].data.shape[0] for i in range(3)]
         assert widths == [200, 200, 200]
-        assert dnn.eval().predict_probs(np.zeros((2, 385), dtype=np.float32)).shape == (2, 11)
+        assert dnn.predict_probs(np.zeros((2, 385), dtype=np.float32)).shape == (2, 11)
 
 
 # -- criterion 3: preprocessing fidelity --------------------------------------
@@ -303,7 +299,6 @@ def test_criterion_5_adaptation_units():
         for _ in range(100):
             d = rng.standard_normal(x1.shape)
             d *= 1.0 / np.linalg.norm(d)
-            model.eval()
             with ad.no_grad():
                 ls0 = _np_log_softmax(model.logits(x1).data.astype(np.float64))
                 ls1 = _np_log_softmax(model.logits(x1 + d.astype(np.float32)).data.astype(np.float64))

@@ -79,10 +79,9 @@ class TestConditionalEntropy:
 
 
 def manual_kl(model, x, delta):
-    """KL(h(x) || h(x + delta)) per example, eval mode, numpy only."""
+    """KL(h(x) || h(x + delta)) per example, inference passes, numpy only."""
     import semgcal.autodiff as ad
 
-    model.eval()
     with ad.no_grad():
         ls0 = _np_log_softmax(model.logits(x).data.astype(np.float64))
         ls1 = _np_log_softmax(model.logits(x + delta).data.astype(np.float64))
@@ -181,7 +180,6 @@ class TestDann:
 
         import semgcal.autodiff as ad
 
-        adapted.eval()
         with ad.no_grad():
             f_s = adapted.features(x_src).data
             f_t = adapted.features(x_tgt).data
@@ -191,7 +189,6 @@ class TestDann:
                          np.vstack([f_s[half_s:], f_t[half_t:]]))
             == np.array([0] * (len(f_s) - half_s) + [1] * (len(f_t) - half_t))
         )
-        adapted.eval()
 
         def domain_votes(x):
             with ad.no_grad():
@@ -222,12 +219,12 @@ class TestDann:
     def test_lambda_scales_feature_gradient_linearly(self):
         x_src, y_src, x_tgt, _ = cluster_task(seed=3)
         model = mini_net(seed=7)
-        model.train()
+        rng = np.random.default_rng(0)  # training passes; mini_net has no dropout to draw
 
         def feature_grad(lam):
             model.zero_grad()
-            feats_s = model.features(x_src[:32])
-            loss, _ = _domain_loss(model, None, feats_s, x_tgt[:32], lam)
+            feats_s = model.features(x_src[:32], rng)
+            loss, _ = _domain_loss(model, rng, feats_s, x_tgt[:32], lam)
             loss.backward()
             return model.named_parameters()["fc0.w"].grad.copy()
 

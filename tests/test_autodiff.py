@@ -372,7 +372,7 @@ def _retaining_backward(loss: Tensor):
 
 def _network(kind: str, seed: int = 0):
     build = {"tsd_dnn": build_tsd_dnn, "spectrogram_convnet": build_spectrogram_convnet}[kind]
-    return build(7, seed=seed).train()
+    return build(7, seed=seed)
 
 
 def _step_loss(model, batch: int, seed: int = 0) -> Tensor:
@@ -484,8 +484,8 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         refs = []
 
         def watched(call, with_input):
-            def wrapper(layer, x, ctx):
-                out = call(layer, x, ctx)
+            def wrapper(layer, x, rng):
+                out = call(layer, x, rng)
                 if with_input:
                     refs.append(weakref.ref(x.data))
                 refs.append(weakref.ref(out.data))

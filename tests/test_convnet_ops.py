@@ -46,7 +46,6 @@ from semgcal.nn import (
     CONVNET_CHANNELS,
     CONVNET_INPUT_SHAPE,
     BatchNorm,
-    _Ctx,
     build_spectrogram_convnet,
     save_network,
 )
@@ -120,8 +119,6 @@ def _old_bn_train_forward(x, gamma, beta, running_mean, running_var, momentum=0.
 def _old_adabn_adapt(model, x_tgt, batch_size=512):
     x = np.asarray(x_tgt, dtype=np.float32)
     out = model.clone()
-    out.eval()
-    ctx = _Ctx(False, None)
     with no_grad():
         for pos, layer in enumerate(out.feature_layers):
             if not isinstance(layer, BatchNorm):
@@ -132,7 +129,7 @@ def _old_adabn_adapt(model, x_tgt, batch_size=512):
             for lo in range(0, len(x), batch_size):
                 t = out.layer_input(x[lo : lo + batch_size])
                 for prev in out.feature_layers[:pos]:
-                    t = prev(t, ctx)
+                    t = prev(t, None)
                 a = t.data.astype(np.float64)
                 if a.ndim == 4:
                     a = _swap01(a)  # the layers run channel-major

@@ -17,7 +17,7 @@ import pytest
 import semgcal.experiment as experiment
 from semgcal import DataError, EmptyInputError, ParameterError, SemgCalError, features, worker
 from semgcal.adapt import AdaptConfig
-from semgcal.dataio import canonical_json, config_digest, save_manifest, save_report
+from semgcal.dataio import canonical_json, config_digest, save_manifest
 from semgcal.errors import check_real
 from semgcal.experiment import (
     ALGORITHMS,

@@ -32,7 +32,7 @@ from semgcal.dataio import (
 from semgcal.adapt import AdaptConfig
 from semgcal.errors import DataError, ParameterError, ParseError, SemgCalError
 from semgcal.experiment import BenchmarkConfig
-from semgcal.nn import load_network
+from semgcal.nn import load_network, save_network
 from semgcal.relabel import HeuristicConfig
 from semgcal.signal import NUM_CHANNELS, RawRecording, segment_stream
 from semgcal import synth
@@ -476,6 +476,22 @@ class TestCli:
         ])
         assert rc == 1
         assert "not a network container" in capsys.readouterr().err
+        assert not list(tmp_path.glob("model_*.bin"))
+
+    def test_adapt_rejects_a_running_statistic_of_the_wrong_shape(self, trained_cli_model, tmp_path, capsys):
+        data_dir, model_path = trained_cli_model
+        model = load_network(model_path)
+        model.bn_layers()[0].running_mean = np.zeros(5, dtype=np.float32)
+        bad = tmp_path / "bad.bin"
+        save_network(model, bad)  # a valid checksum around the wrong shape
+        rc = main([
+            "adapt", "adabn", "--data", str(data_dir), "--model", str(bad),
+            "--subject", "0", "--session", "1", "--gestures", "7",
+            "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fc0.bn.running_mean" in err
         assert not list(tmp_path.glob("model_*.bin"))
 
     @pytest.mark.parametrize("content", [

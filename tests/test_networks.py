@@ -18,7 +18,7 @@ from semgcal.nn import (
     EVAL_BATCH,
     TSD_HIDDEN,
     Dropout,
-    _Ctx,
+    Network,
     build_spectrogram_convnet,
     load_network,
     save_network,
@@ -31,7 +31,7 @@ class TestSpectrogramConvnet:
         assert build_spectrogram_convnet(11).num_parameters() == 206_548
 
     def test_input_output_shapes(self):
-        model = build_spectrogram_convnet(11).eval()
+        model = build_spectrogram_convnet(11)
         x = np.random.default_rng(0).standard_normal((5, 4, 10, 24)).astype(np.float32)
         assert model.predict_probs(x).shape == (5, 11)
         assert model.head_logits(model.features(x), "domain").data.shape == (5, 2)
@@ -76,39 +76,42 @@ class TestTsdDnn:
         layers = [l for l in model.feature_layers if isinstance(l, LeakyReLU)]
         assert len(layers) == 3
         for layer in layers:
-            out = layer(Tensor(np.array([-2.0, 0.0, 3.0])), _Ctx(True, None))
+            out = layer(Tensor(np.array([-2.0, 0.0, 3.0])), None)
             np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
 
     def test_zero_vector_eval_finite(self):
-        model = build_tsd_dnn(7).eval()
+        model = build_tsd_dnn(7)
         out = model.predict_probs(np.zeros((1, 385), dtype=np.float32))
         assert np.all(np.isfinite(out))
         assert out.shape == (1, 7)
 
 
+_NETWORKS = pytest.mark.parametrize("build, shape", [(build_tsd_dnn, (385,)),
+                                                     (build_spectrogram_convnet, (4, 10, 24))],
+                                    ids=["tsd_dnn", "convnet"])
+
+
 class TestForwardContracts:
     def test_softmax_rows_sum_to_one(self):
-        model = build_tsd_dnn(11).eval()
+        model = build_tsd_dnn(11)
         x = np.random.default_rng(1).standard_normal((9, 385)).astype(np.float32)
         p = model.predict_probs(x)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
 
     def test_eval_mode_deterministic(self):
-        model = build_spectrogram_convnet(11).eval()
+        model = build_spectrogram_convnet(11)
         x = np.random.default_rng(2).standard_normal((3, 4, 10, 24)).astype(np.float32)
         np.testing.assert_array_equal(model.predict_probs(x), model.predict_probs(x))
 
     def test_eval_output_independent_of_batch_composition(self):
-        model = build_tsd_dnn(11).eval()
+        model = build_tsd_dnn(11)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 385)).astype(np.float32)
         alone = model.predict_probs(x[:1])
         batched = model.predict_probs(x)[:1]
         np.testing.assert_allclose(alone, batched, atol=1e-5)
 
-    @pytest.mark.parametrize("build, shape", [(build_tsd_dnn, (385,)),
-                                              (build_spectrogram_convnet, (4, 10, 24))],
-                             ids=["tsd_dnn", "convnet"])
+    @_NETWORKS
     @pytest.mark.parametrize("gestures", [7, 11])
     def test_zero_rows_give_an_empty_gesture_width_array(self, build, shape, gestures):
         model = build(gestures)
@@ -140,8 +143,7 @@ def _uniform_reference(n):
     return p0, np.log(p0)
 
 
-# Every forward that runs the network in eval mode outside a training step,
-# as a call on (model, x).
+# Every inference forward outside a training step, as a call on (model, x).
 _EVAL_MODE_CALLS = {
     "eval_logits": lambda m, x: m.eval_logits(x),
     "predict_probs": lambda m, x: m.predict_probs(x),
@@ -155,20 +157,21 @@ _EVAL_MODE_CALLS = {
 
 class TestEvalModeForward:
     @pytest.mark.parametrize("call", _EVAL_MODE_CALLS.values(), ids=_EVAL_MODE_CALLS.keys())
-    @pytest.mark.parametrize("training", [True, False], ids=["from_train", "from_eval"])
     @pytest.mark.parametrize("width", [16, 15], ids=["ok", "shape_error"])
-    def test_training_flag_restored(self, call, training, width):
-        model = mini_net(dropout=True).train(training)
+    def test_running_statistics_unchanged(self, call, width):
+        model = mini_net(dropout=True)
+        stats = {k: v.copy() for k, v in model.named_stats().items()}
         x = np.random.default_rng(1).standard_normal((6, width)).astype(np.float32)
         if width == 16:
             call(model, x)
         else:
             with pytest.raises(ShapeError):
                 call(model, x)
-        assert model.training is training
+        for k, v in model.named_stats().items():
+            np.testing.assert_array_equal(v, stats[k])
 
     def test_eval_logits_off_the_tape_in_eval_mode(self):
-        model = mini_net(dropout=True).train()
+        model = mini_net(dropout=True)
         stats = {k: v.copy() for k, v in model.named_stats().items()}
         x = np.random.default_rng(2).standard_normal((9, 16)).astype(np.float32)
         out = model.eval_logits(x)
@@ -196,47 +199,72 @@ class TestEvalModeForward:
 
 class TestBatchNormBehavior:
     def test_train_eval_gap_shrinks_with_exposure(self):
+        # Batch statistics without a dropout draw: the TSD DNN without its
+        # dropout layers, so a training pass's generator is never drawn from.
         model = build_tsd_dnn(11, seed=5)
+        model.feature_layers = [l for l in model.feature_layers if not isinstance(l, Dropout)]
         rng = np.random.default_rng(7)
         x = (rng.standard_normal((256, 385)) * 2.0 + 1.0).astype(np.float32)
         held = x[:64]
 
         def gap():
-            model.train()
-            import semgcal.autodiff as ad
-
             with ad.no_grad():
-                train_out = model.logits(held).data.copy()
-            model.eval()
-            with ad.no_grad():
+                train_out = model.logits(held, rng).data.copy()
                 eval_out = model.logits(held).data
             return np.max(np.abs(train_out - eval_out))
 
         gaps = [gap()]
         for epoch in range(10):
-            model.train()
-            import semgcal.autodiff as ad
-
             with ad.no_grad():
                 for lo in range(0, 256, 64):
-                    model.logits(x[lo : lo + 64])  # updates running stats
+                    model.logits(x[lo : lo + 64], rng)  # updates running stats
             gaps.append(gap())
         # the gap decays toward the irreducible held-batch sampling noise
         assert all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.4 * gaps[0]
 
-    def test_dropout_eval_identity_train_expectation(self):
+
+class TestForwardMode:
+    """A forward given a dropout generator is a training pass; one given
+    none is an inference pass."""
+
+    @_NETWORKS
+    def test_inference_is_repeatable_and_keeps_the_statistics(self, build, shape):
+        model = build(7, seed=1)
+        stats = {k: v.copy() for k, v in model.named_stats().items()}
+        x = np.random.default_rng(2).standard_normal((6, *shape)).astype(np.float32)
+        with ad.no_grad():
+            first = model.logits(x).data.copy()
+            assert model.logits(x).data.tobytes() == first.tobytes()
+        for k, v in model.named_stats().items():
+            assert v.tobytes() == stats[k].tobytes(), k
+
+    @_NETWORKS
+    def test_training_updates_the_statistics_and_draws_dropout(self, build, shape):
+        model = build(7, seed=1)
+        stats = {k: v.copy() for k, v in model.named_stats().items()}
+        x = np.random.default_rng(2).standard_normal((6, *shape)).astype(np.float32)
+        with ad.no_grad():
+            outs = [model.clone().logits(x, np.random.default_rng(s)).data for s in (3, 4)]
+            model.logits(x, np.random.default_rng(3))
+        for k, v in model.named_stats().items():
+            assert not np.array_equal(v, stats[k]), k
+        assert not np.array_equal(outs[0], outs[1])
+
+    def test_dropout_without_generator_is_identity(self):
+        x = Tensor(np.ones((200, 50)))
+        assert Dropout()(x, None) is x
+
+    def test_dropout_with_generator_keeps_the_expectation(self):
         layer = Dropout()
         x = Tensor(np.ones((200, 50)))
-        out_eval = layer(x, _Ctx(False, np.random.default_rng(0)))
-        assert out_eval is x
         rng = np.random.default_rng(1)
         acc = np.zeros((200, 50))
         n_masks = 10_000 // 50
         for _ in range(n_masks):
-            acc += layer(x, _Ctx(True, rng)).data
+            acc += layer(x, rng).data
         mean = acc / n_masks
-        assert abs(mean.mean() - 1.0) < 0.02  # Monte-Carlo expectation matches eval
+        assert abs(mean.mean() - 1.0) < 0.02  # Monte-Carlo expectation matches inference
 
 
 class TestSerialization:
@@ -259,6 +287,32 @@ class TestSerialization:
         save_network(model, p1)
         save_network(load_network(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("layer, attr", [(0, "running_mean"), (2, "running_var")])
+    def test_running_statistic_of_the_wrong_shape_rejected(self, tmp_path, layer, attr):
+        model = build_tsd_dnn(7, seed=4)
+        setattr(model.bn_layers()[layer], attr, np.zeros(5, dtype=np.float32))
+        save_network(model, tmp_path / "model.bin")
+        with pytest.raises(ShapeError, match=f"fc{layer}.bn.{attr}"):
+            load_network(tmp_path / "model.bin")
+
+    @pytest.mark.parametrize("name", ["fc0.bn.running_mean", "fc2.bn.running_var"])
+    def test_missing_running_statistic_rejected(self, tmp_path, name):
+        model = build_tsd_dnn(7, seed=4)
+        model.state_arrays = lambda: {k: v for k, v in Network.state_arrays(model).items() if k != name}
+        save_network(model, tmp_path / "model.bin")
+        with pytest.raises(UsageError, match=name):
+            load_network(tmp_path / "model.bin")
+
+    def test_rejected_state_sets_nothing(self):
+        model = build_tsd_dnn(7, seed=4)
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        state = build_tsd_dnn(7, seed=5).state_arrays()
+        state["fc2.bn.running_var"] = np.ones(5, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            model.load_state_arrays(state)
+        for k, v in model.state_arrays().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

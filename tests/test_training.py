@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semgcal import DataError, NumericError, build_tsd_dnn, fit
-from semgcal.autodiff import Tensor, cross_entropy, mean_all, mul, sum_all
+from semgcal.autodiff import Tensor, cross_entropy, mul, sum_all
 from semgcal.nn import build_spectrogram_convnet
 from semgcal.optim import BETA1, BETA2, EPS, Adam
 from semgcal.train import (
@@ -76,7 +76,7 @@ class TestAdamInPlaceMoments:
     @pytest.mark.parametrize("build, batch", [(build_tsd_dnn, 32), (build_spectrogram_convnet, 4)],
                              ids=["tsd_dnn", "spectrogram_convnet"])
     def test_twenty_steps_equal_the_frozen_step(self, build, batch):
-        models = [build(7, seed=3).train() for _ in range(2)]
+        models = [build(7, seed=3) for _ in range(2)]
         opts = [Adam(m.named_parameters(), lr=0.002) for m in models]
         data = np.random.default_rng(4)
         for _ in range(20):
@@ -101,7 +101,7 @@ class TestAdamInPlaceParameters:
     def test_nothing_else_holds_a_parameter_array(self):
         # Snapshots, clones (the DIRT-T teacher is one) and loaded states
         # copy, so an in-place step changes none of them.
-        model = build_tsd_dnn(7, seed=2).train()
+        model = build_tsd_dnn(7, seed=2)
         snap, twin = _snapshot(model), model.clone()
         loaded = build_tsd_dnn(7, seed=5)
         loaded.load_state_arrays(snap)
